@@ -1,262 +1,21 @@
 #include "src/lock/centralized_server.h"
 
-#include <thread>
-
-#include "src/base/logging.h"
-#include "src/lock/clerk.h"
-#include "src/obs/recorder.h"
-
 namespace frangipani {
-
-namespace {
-// Any authenticated message from a live holder proves liveness: restamp its
-// lease so piggybacked acks/releases keep it fresh without standalone
-// renewals. Only the server's view is extended, which is always safe (the
-// hazard direction is the server expiring a lease the client still trusts).
-void ImplicitRenew(SlotTable& slots, uint32_t slot) {
-  static obs::Counter* implicit_renewals =
-      obs::MetricsRegistry::Default()->GetCounter("lockd.implicit_renewals");
-  if (slots.Renew(slot)) {
-    implicit_renewals->Increment();
-  }
-}
-}  // namespace
 
 CentralizedLockServer::CentralizedLockServer(Network* net, NodeId self, Clock* clock,
                                              Duration lease_duration)
-    : net_(net), self_(self), clock_(clock), slots_(clock, lease_duration) {
+    : LockServer(net, self, clock, lease_duration) {
   net_->RegisterService(self_, kServiceName, this);
 }
 
-CentralizedLockServer::~CentralizedLockServer() {
-  net_->UnregisterService(self_, kServiceName);
-}
-
-StatusOr<Bytes> CentralizedLockServer::Handle(uint32_t method, const Bytes& request,
-                                              NodeId from) {
-  Decoder dec(request);
-  switch (method) {
-    case kLockOpen:
-      return DoOpen(dec, from);
-    case kLockClose:
-      return DoClose(dec);
-    case kLockRenew:
-      return DoRenew(dec);
-    case kLockRequest:
-      return DoRequest(dec);
-    case kLockRelease:
-      return DoRelease(dec);
-    case kLockAck: {
-      uint32_t slot = dec.GetU32();
-      LockId lock = dec.GetU64();
-      if (!dec.ok()) {
-        return InvalidArgument("bad ack");
-      }
-      ImplicitRenew(slots_, slot);
-      core_.Ack(slot, lock);
-      return Bytes{};
-    }
-    case kLockGetAssignment: {
-      // Degenerate single-server assignment, so the same router logic works.
-      Encoder enc;
-      enc.PutU32(1);
-      enc.PutU32(self_);
-      enc.PutU32(kNumLockGroups);
-      for (uint32_t g = 0; g < kNumLockGroups; ++g) {
-        enc.PutU32(self_);
-      }
-      return enc.Take();
-    }
-    default:
-      return InvalidArgument("unknown lockd method");
-  }
-}
-
-StatusOr<Bytes> CentralizedLockServer::DoOpen(Decoder& dec, NodeId from) {
-  std::string table = dec.GetString();
-  if (!dec.ok()) {
-    return InvalidArgument("bad open");
-  }
-  ASSIGN_OR_RETURN(uint32_t slot, slots_.Open(table, from));
-  Encoder enc;
-  enc.PutU32(slot);
-  enc.PutI64(std::chrono::duration_cast<std::chrono::microseconds>(slots_.lease_duration())
-                 .count());
-  FLOG(INFO) << "lockd@" << self_ << ": opened table '" << table << "' slot " << slot
-             << " for node " << from;
-  return enc.Take();
-}
-
-StatusOr<Bytes> CentralizedLockServer::DoClose(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  if (!dec.ok()) {
-    return InvalidArgument("bad close");
-  }
-  core_.ReleaseAll(slot);
-  slots_.Close(slot);
-  return Bytes{};
-}
-
-StatusOr<Bytes> CentralizedLockServer::DoRenew(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  if (!dec.ok()) {
-    return InvalidArgument("bad renew");
-  }
-  Encoder enc;
-  enc.PutBool(slots_.Renew(slot));
-  return enc.Take();
-}
-
-StatusOr<Bytes> CentralizedLockServer::DoRequest(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  LockId lock = dec.GetU64();
-  LockMode mode = static_cast<LockMode>(dec.GetU8());
-  LockRange range{dec.GetU64(), dec.GetU64()};
-  if (!dec.ok()) {
-    return InvalidArgument("bad request");
-  }
-  if (!slots_.IsOpen(slot) || slots_.Expired(slot)) {
-    return StaleLease("lease not live");
-  }
-  ImplicitRenew(slots_, slot);
-  obs::SpanScope span(obs::Layer::kLock, "lockd.request", self_, "lock", lock, "mode",
-                      static_cast<uint64_t>(mode));
-  LockRange granted;
-  RETURN_IF_ERROR(core_.Request(
-      slot, lock, mode, range,
-      [this](uint32_t holder, LockId l, LockMode m, LockRange r) {
-        return RevokeAt(holder, l, m, r);
-      },
-      [this](uint32_t holder) { HandleDeadHolder(holder); }, &granted));
-  if (obs::RecorderEnabled()) {
-    obs::RecordInstant(obs::Layer::kLock, "lockd.grant", self_, "lock", lock, "slot", slot);
-  }
-  Encoder enc;
-  enc.PutU64(granted.start);
-  enc.PutU64(granted.end);
-  return enc.Take();
-}
-
-StatusOr<Bytes> CentralizedLockServer::DoRelease(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  LockId lock = dec.GetU64();
-  LockMode new_mode = static_cast<LockMode>(dec.GetU8());
-  LockRange range{dec.GetU64(), dec.GetU64()};
-  if (!dec.ok()) {
-    return InvalidArgument("bad release");
-  }
-  ImplicitRenew(slots_, slot);
-  core_.Release(slot, lock, new_mode, range);
-  return Bytes{};
-}
-
-Status CentralizedLockServer::RevokeAt(uint32_t holder, LockId lock, LockMode new_mode,
-                                       LockRange range) {
-  if (slots_.Expired(holder)) {
-    // Dead by definition: do not ask the zombie; run recovery instead.
-    return Unavailable("holder lease expired");
-  }
-  NodeId clerk = slots_.ClerkOf(holder);
-  if (clerk == kInvalidNode) {
-    return OkStatus();  // slot already gone; core re-checks
-  }
-  obs::SpanScope span(obs::Layer::kLock, "lockd.revoke_rpc", self_, "lock", lock, "holder",
-                      holder);
-  Encoder enc;
-  enc.PutU64(lock);
-  enc.PutU8(static_cast<uint8_t>(new_mode));
-  enc.PutU64(range.start);
-  enc.PutU64(range.end);
-  return net_->Call(self_, clerk, LockClerk::kServiceName, kClerkRevoke, enc.buffer()).status();
-}
-
-void CentralizedLockServer::HandleDeadHolder(uint32_t holder) {
-  {
-    std::unique_lock<std::mutex> lk(recovery_mu_);
-    if (recovering_.count(holder) > 0) {
-      // Another thread is already driving recovery for this slot.
-      recovery_cv_.wait(lk, [&] { return recovering_.count(holder) == 0; });
-      return;
-    }
-    if (!slots_.IsOpen(holder)) {
-      return;  // already recovered and freed
-    }
-    if (!slots_.Expired(holder)) {
-      // Transient unreachability; the lease is still valid. Let the
-      // requester retry the revoke after a short delay.
-      lk.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      return;
-    }
-    recovering_.insert(holder);
-  }
-
-  FLOG(WARN) << "lockd@" << self_ << ": slot " << holder
-             << " lease expired; initiating log recovery";
-  // Ask a live clerk to replay the dead server's log (§6), then release the
-  // dead server's locks and free the slot for reuse.
-  bool recovered = false;
-  for (int round = 0; round < 8 && !recovered; ++round) {
-    for (const auto& [slot, clerk] : slots_.LiveClerks()) {
-      if (slot == holder) {
-        continue;
-      }
-      Encoder enc;
-      enc.PutU32(holder);
-      StatusOr<Bytes> reply =
-          net_->Call(self_, clerk, LockClerk::kServiceName, kClerkRecoverSlot, enc.buffer());
-      if (reply.ok()) {
-        recovered = true;
-        break;
-      }
-      FLOG(DEBUG) << "lockd@" << self_ << ": recovery attempt via clerk slot " << slot
-                  << " node " << clerk << " failed: " << reply.status();
-    }
-    if (!recovered) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(recovery_mu_);
-    if (recovered) {
-      core_.ReleaseAll(holder);
-      slots_.Free(holder);
-      FLOG(INFO) << "lockd@" << self_ << ": slot " << holder << " recovered and freed";
-    }
-    recovering_.erase(holder);
-  }
-  recovery_cv_.notify_all();
-}
-
-void CentralizedLockServer::CheckLeases() {
-  for (uint32_t slot : slots_.ExpiredSlots()) {
-    HandleDeadHolder(slot);
-  }
-}
-
-void CentralizedLockServer::RecoverStateFromClerks(
-    const std::vector<std::pair<uint32_t, NodeId>>& clerks) {
+void CentralizedLockServer::RecoverStateFromClerks(const ClerkList& clerks) {
   core_.Clear();
+  // Open the slots first, so a revoke never finds a reinstalled lock whose
+  // holder has no slot.
   for (const auto& [slot, clerk] : clerks) {
-    StatusOr<Bytes> reply =
-        net_->Call(self_, clerk, LockClerk::kServiceName, kClerkListHeld, Bytes{});
-    if (!reply.ok()) {
-      continue;
-    }
-    Decoder dec(reply.value());
-    uint32_t reported_slot = dec.GetU32();
-    uint32_t count = dec.GetU32();
-    slots_.InstallOpen(reported_slot, "", clerk);
-    for (uint32_t i = 0; i < count && dec.ok(); ++i) {
-      LockId lock = dec.GetU64();
-      LockMode mode = static_cast<LockMode>(dec.GetU8());
-      LockRange range{dec.GetU64(), dec.GetU64()};
-      if (!dec.ok()) {
-        break;
-      }
-      core_.Install(reported_slot, lock, mode, range);
-    }
+    slots_.InstallOpen(slot, "", clerk);
   }
+  InstallFromClerks(clerks, [](LockId) { return true; });
 }
 
 }  // namespace frangipani

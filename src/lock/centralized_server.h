@@ -4,66 +4,26 @@
 // state information to permit recovery even if the lock service loses all
 // its state in a crash."
 //
-// RecoverStateFromClerks() implements that reconstruction: after a restart,
-// the server asks each clerk for the locks it holds.
+// The engine's default hooks are exactly this flavour. The one addition is
+// RecoverStateFromClerks(): after a restart, the server asks each clerk for
+// the locks it holds.
 #ifndef SRC_LOCK_CENTRALIZED_SERVER_H_
 #define SRC_LOCK_CENTRALIZED_SERVER_H_
 
-#include <mutex>
-#include <set>
-#include <string>
-
-#include "src/base/clock.h"
-#include "src/lock/lock_core.h"
-#include "src/lock/slot_table.h"
-#include "src/lock/types.h"
-#include "src/net/network.h"
+#include "src/lock/lock_server.h"
 
 namespace frangipani {
 
-class CentralizedLockServer : public Service {
+class CentralizedLockServer : public LockServer {
  public:
-  static constexpr const char* kServiceName = "lockd";
-
   CentralizedLockServer(Network* net, NodeId self, Clock* clock,
                         Duration lease_duration = kDefaultLeaseDuration);
-  ~CentralizedLockServer() override;
-
-  StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override;
-
-  // Proactive lease sweep: initiates recovery for every expired slot.
-  // (Expiry is otherwise detected lazily when a revoke fails.) Runs
-  // recoveries synchronously on the calling thread.
-  void CheckLeases();
 
   // After a lock-server restart: rebuild lock state by querying clerks.
   // `clerks` maps slot -> clerk node (from the operator / old config).
-  void RecoverStateFromClerks(const std::vector<std::pair<uint32_t, NodeId>>& clerks);
+  void RecoverStateFromClerks(const ClerkList& clerks);
 
-  size_t lock_count() const { return core_.lock_count(); }
-  LockMode HeldMode(uint32_t slot, LockId lock) const { return core_.HeldMode(slot, lock); }
-
- private:
-  StatusOr<Bytes> DoOpen(Decoder& dec, NodeId from);
-  StatusOr<Bytes> DoClose(Decoder& dec);
-  StatusOr<Bytes> DoRenew(Decoder& dec);
-  StatusOr<Bytes> DoRequest(Decoder& dec);
-  StatusOr<Bytes> DoRelease(Decoder& dec);
-
-  Status RevokeAt(uint32_t holder, LockId lock, LockMode new_mode, LockRange range);
-  // Handles an unreachable/dead holder: waits out the lease, has a live
-  // clerk replay the dead log, then releases the dead slot's locks.
-  void HandleDeadHolder(uint32_t holder);
-
-  Network* net_;
-  NodeId self_;
-  Clock* clock_;
-  SlotTable slots_;
-  LockCore core_;
-
-  std::mutex recovery_mu_;
-  std::condition_variable recovery_cv_;
-  std::set<uint32_t> recovering_;
+  void OnRestart(const ClerkList& clerks) override { RecoverStateFromClerks(clerks); }
 };
 
 }  // namespace frangipani

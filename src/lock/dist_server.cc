@@ -1,12 +1,9 @@
 #include "src/lock/dist_server.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/base/logging.h"
 #include "src/base/serial.h"
-#include "src/lock/clerk.h"
-#include "src/obs/recorder.h"
 
 namespace frangipani {
 
@@ -78,7 +75,7 @@ DistLockServer::DistLockServer(Network* net, NodeId self, std::vector<NodeId> pa
                                std::vector<NodeId> initial_active,
                                PaxosDurableState* paxos_state, Clock* clock,
                                Duration lease_duration)
-    : net_(net), self_(self), clock_(clock), lease_duration_(lease_duration) {
+    : LockServer(net, self, clock, lease_duration) {
   state_.servers = std::move(initial_active);
   state_.assignment.fill(kInvalidNode);
   state_.recovery_claim.fill(kInvalidNode);
@@ -88,7 +85,6 @@ DistLockServer::DistLockServer(Network* net, NodeId self, std::vector<NodeId> pa
       cold_groups_.insert(g);
     }
   }
-  last_renew_.fill(clock_->Now());
   paxos_ = std::make_unique<PaxosPeer>(
       net_, self_, std::move(paxos_group), paxos_state,
       [this](uint64_t index, const Bytes& cmd) { OnApply(index, cmd); });
@@ -129,32 +125,24 @@ void DistLockServer::OnApply(uint64_t index, const Bytes& raw) {
       break;
     }
     case LockCmdKind::kOpenClerk: {
-      uint32_t slot = kInvalidSlot;
-      for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
-        if (!state_.slots[s].open) {
-          slot = s;
-          break;
-        }
-      }
-      if (slot != kInvalidSlot) {
-        state_.slots[slot] = {true, cmd->table, cmd->clerk};
-        last_renew_[slot] = clock_->Now();
-      }
+      // Every replica applies the same opens and frees in the same order, so
+      // the table's lowest-free-slot choice agrees everywhere.
+      StatusOr<uint32_t> slot = slots_.Open(cmd->table, cmd->clerk);
       if (cmd->nonce != 0) {
-        nonce_slots_[cmd->nonce] = slot;
+        nonce_slots_[cmd->nonce] = slot.ok() ? *slot : kInvalidSlot;
         cv_.notify_all();
       }
       break;
     }
     case LockCmdKind::kCloseClerk: {
       if (cmd->slot < kNumLeaseSlots) {
-        state_.slots[cmd->slot] = {};
         core_.ReleaseAll(cmd->slot);
+        slots_.Close(cmd->slot);
       }
       break;
     }
     case LockCmdKind::kClaimRecovery: {
-      if (cmd->slot < kNumLeaseSlots && state_.slots[cmd->slot].open &&
+      if (cmd->slot < kNumLeaseSlots && slots_.IsOpen(cmd->slot) &&
           state_.recovery_claim[cmd->slot] == kInvalidNode) {
         state_.recovery_claim[cmd->slot] = cmd->server;
       }
@@ -163,9 +151,9 @@ void DistLockServer::OnApply(uint64_t index, const Bytes& raw) {
     }
     case LockCmdKind::kSlotRecovered: {
       if (cmd->slot < kNumLeaseSlots) {
-        state_.slots[cmd->slot] = {};
-        state_.recovery_claim[cmd->slot] = kInvalidNode;
         core_.ReleaseAll(cmd->slot);
+        slots_.Free(cmd->slot);
+        state_.recovery_claim[cmd->slot] = kInvalidNode;
       }
       cv_.notify_all();
       break;
@@ -192,61 +180,11 @@ LockGlobalState DistLockServer::StateSnapshot() const {
   return state_;
 }
 
-bool DistLockServer::SlotLiveLocally(uint32_t slot) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !state_.slots[slot].open) {
-    return false;
-  }
-  return clock_->Now() <= last_renew_[slot] + lease_duration_;
-}
-
-NodeId DistLockServer::ClerkOf(uint32_t slot) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !state_.slots[slot].open) {
-    return kInvalidNode;
-  }
-  return state_.slots[slot].clerk;
-}
-
-StatusOr<Bytes> DistLockServer::Handle(uint32_t method, const Bytes& request, NodeId from) {
-  Decoder dec(request);
-  switch (method) {
-    case kLockOpen:
-      return DoOpen(dec, from);
-    case kLockClose:
-      return DoClose(dec);
-    case kLockRenew:
-      return DoRenew(dec);
-    case kLockRequest:
-      return DoRequest(dec);
-    case kLockRelease:
-      return DoRelease(dec);
-    case kLockAck: {
-      uint32_t slot = dec.GetU32();
-      LockId lock = dec.GetU64();
-      if (!dec.ok()) {
-        return InvalidArgument("bad ack");
-      }
-      ImplicitRenew(slot);
-      core_.Ack(slot, lock);
-      return Bytes{};
-    }
-    case kLockGetAssignment:
-      return DoGetAssignment();
-    default:
-      return InvalidArgument("unknown lockd method");
-  }
-}
-
-StatusOr<Bytes> DistLockServer::DoOpen(Decoder& dec, NodeId from) {
-  std::string table = dec.GetString();
-  if (!dec.ok()) {
-    return InvalidArgument("bad open");
-  }
+StatusOr<uint32_t> DistLockServer::OpenSlot(const std::string& table, NodeId clerk) {
   LockCommand cmd;
   cmd.kind = LockCmdKind::kOpenClerk;
   cmd.table = table;
-  cmd.clerk = from;
+  cmd.clerk = clerk;
   {
     std::lock_guard<std::mutex> guard(mu_);
     cmd.nonce = (static_cast<uint64_t>(self_) << 40) | next_nonce_++;
@@ -262,130 +200,37 @@ StatusOr<Bytes> DistLockServer::DoOpen(Decoder& dec, NodeId from) {
   if (slot == kInvalidSlot) {
     return ResourceExhausted("no free lease slots");
   }
-  Encoder enc;
-  enc.PutU32(slot);
-  enc.PutI64(std::chrono::duration_cast<std::chrono::microseconds>(lease_duration_).count());
-  return enc.Take();
+  return slot;
 }
 
-StatusOr<Bytes> DistLockServer::DoClose(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  if (!dec.ok()) {
-    return InvalidArgument("bad close");
-  }
+Status DistLockServer::CloseSlot(uint32_t slot) {
   LockCommand cmd;
   cmd.kind = LockCmdKind::kCloseClerk;
   cmd.slot = slot;
-  RETURN_IF_ERROR(paxos_->Propose(cmd.Encode()).status());
-  return Bytes{};
+  return paxos_->Propose(cmd.Encode()).status();
 }
 
-StatusOr<Bytes> DistLockServer::DoRenew(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  if (!dec.ok()) {
-    return InvalidArgument("bad renew");
-  }
-  Encoder enc;
+bool DistLockServer::MayRenew(uint32_t slot) {
   std::lock_guard<std::mutex> guard(mu_);
-  bool ok = slot < kNumLeaseSlots && state_.slots[slot].open &&
-            state_.recovery_claim[slot] == kInvalidNode &&
-            clock_->Now() <= last_renew_[slot] + lease_duration_;
-  if (ok) {
-    last_renew_[slot] = clock_->Now();
-  }
-  enc.PutBool(ok);
-  return enc.Take();
+  return slot < kNumLeaseSlots && state_.recovery_claim[slot] == kInvalidNode;
 }
 
-void DistLockServer::ImplicitRenew(uint32_t slot) {
-  static obs::Counter* implicit_renewals =
-      obs::MetricsRegistry::Default()->GetCounter("lockd.implicit_renewals");
-  std::lock_guard<std::mutex> guard(mu_);
-  // Same liveness guard as DoRenew: only a still-live, unclaimed slot may be
-  // restamped. Extends only this server's view of the lease (always safe).
-  bool ok = slot < kNumLeaseSlots && state_.slots[slot].open &&
-            state_.recovery_claim[slot] == kInvalidNode &&
-            clock_->Now() <= last_renew_[slot] + lease_duration_;
-  if (ok) {
-    last_renew_[slot] = clock_->Now();
-    implicit_renewals->Increment();
-  }
-}
-
-StatusOr<Bytes> DistLockServer::DoRequest(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  LockId lock = dec.GetU64();
-  LockMode mode = static_cast<LockMode>(dec.GetU8());
-  LockRange range{dec.GetU64(), dec.GetU64()};
-  if (!dec.ok()) {
-    return InvalidArgument("bad request");
-  }
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    uint32_t group = LockGroupOf(lock);
-    if (state_.assignment[group] != self_) {
-      return FailedPrecondition("lock group not served here");
-    }
-    if (slot >= kNumLeaseSlots || !state_.slots[slot].open) {
-      return StaleLease("slot not open");
-    }
-    if (clock_->Now() > last_renew_[slot] + lease_duration_) {
-      return StaleLease("lease expired");
-    }
-    last_renew_[slot] = clock_->Now();  // implicit renewal: holder is live
-  }
-  WarmColdGroups();
-  // Covers conflict resolution: any revoke chain this grant triggers runs
-  // inside (RevokeAt below), so a handoff shows as one nested span tree.
-  obs::SpanScope span(obs::Layer::kLock, "lockd.request", self_, "lock", lock, "mode",
-                      static_cast<uint64_t>(mode));
-  LockRange granted;
-  RETURN_IF_ERROR(core_.Request(
-      slot, lock, mode, range,
-      [this](uint32_t holder, LockId l, LockMode m, LockRange r) {
-        return RevokeAt(holder, l, m, r);
-      },
-      [this](uint32_t holder) { HandleDeadHolder(holder); }, &granted));
-  if (obs::RecorderEnabled()) {
-    obs::RecordInstant(obs::Layer::kLock, "lockd.grant", self_, "lock", lock, "slot", slot);
-  }
-  Encoder enc;
-  enc.PutU64(granted.start);
-  enc.PutU64(granted.end);
-  return enc.Take();
-}
-
-StatusOr<Bytes> DistLockServer::DoRelease(Decoder& dec) {
-  uint32_t slot = dec.GetU32();
-  LockId lock = dec.GetU64();
-  LockMode new_mode = static_cast<LockMode>(dec.GetU8());
-  LockRange range{dec.GetU64(), dec.GetU64()};
-  if (!dec.ok()) {
-    return InvalidArgument("bad release");
-  }
+Status DistLockServer::ServesLock(LockId lock) {
   {
     std::lock_guard<std::mutex> guard(mu_);
     if (state_.assignment[LockGroupOf(lock)] != self_) {
       return FailedPrecondition("lock group not served here");
     }
   }
-  ImplicitRenew(slot);
-  core_.Release(slot, lock, new_mode, range);
-  return Bytes{};
+  WarmColdGroups();
+  return OkStatus();
 }
 
-StatusOr<Bytes> DistLockServer::DoGetAssignment() {
-  Encoder enc;
+void DistLockServer::Assignment(std::vector<NodeId>* servers,
+                                std::array<NodeId, kNumLockGroups>* groups) {
   std::lock_guard<std::mutex> guard(mu_);
-  enc.PutU32(static_cast<uint32_t>(state_.servers.size()));
-  for (NodeId s : state_.servers) {
-    enc.PutU32(s);
-  }
-  enc.PutU32(kNumLockGroups);
-  for (uint32_t g = 0; g < kNumLockGroups; ++g) {
-    enc.PutU32(state_.assignment[g]);
-  }
-  return enc.Take();
+  *servers = state_.servers;
+  *groups = state_.assignment;
 }
 
 void DistLockServer::WarmColdGroups() {
@@ -399,32 +244,10 @@ void DistLockServer::WarmColdGroups() {
   }
   warming_ = true;
   std::set<uint32_t> groups = cold_groups_;
-  std::vector<std::pair<uint32_t, NodeId>> clerks;
-  for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
-    if (state_.slots[s].open) {
-      clerks.emplace_back(s, state_.slots[s].clerk);
-    }
-  }
   lk.unlock();
 
-  for (const auto& [slot, clerk] : clerks) {
-    StatusOr<Bytes> reply =
-        net_->Call(self_, clerk, LockClerk::kServiceName, kClerkListHeld, Bytes{});
-    if (!reply.ok()) {
-      continue;  // unreachable clerk: its lease will expire and be recovered
-    }
-    Decoder dec(reply.value());
-    uint32_t reported_slot = dec.GetU32();
-    uint32_t count = dec.GetU32();
-    for (uint32_t i = 0; i < count && dec.ok(); ++i) {
-      LockId lock = dec.GetU64();
-      LockMode mode = static_cast<LockMode>(dec.GetU8());
-      LockRange range{dec.GetU64(), dec.GetU64()};
-      if (dec.ok() && groups.count(LockGroupOf(lock)) > 0) {
-        core_.Install(reported_slot, lock, mode, range);
-      }
-    }
-  }
+  InstallFromClerks(slots_.OpenClerks(),
+                    [&](LockId lock) { return groups.count(LockGroupOf(lock)) > 0; });
 
   lk.lock();
   for (uint32_t g : groups) {
@@ -435,141 +258,29 @@ void DistLockServer::WarmColdGroups() {
   cv_.notify_all();
 }
 
-Status DistLockServer::RevokeAt(uint32_t holder, LockId lock, LockMode new_mode,
-                                LockRange range) {
-  if (!SlotLiveLocally(holder)) {
-    bool open;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      open = holder < kNumLeaseSlots && state_.slots[holder].open;
-    }
-    if (open) {
-      // Dead by definition: do not ask the zombie; run recovery instead.
-      return Unavailable("holder lease expired");
-    }
-  }
-  NodeId clerk = ClerkOf(holder);
-  if (clerk == kInvalidNode) {
-    return OkStatus();
-  }
-  obs::SpanScope span(obs::Layer::kLock, "lockd.revoke_rpc", self_, "lock", lock, "holder",
-                      holder);
-  Encoder enc;
-  enc.PutU64(lock);
-  enc.PutU8(static_cast<uint8_t>(new_mode));
-  enc.PutU64(range.start);
-  enc.PutU64(range.end);
-  return net_->Call(self_, clerk, LockClerk::kServiceName, kClerkRevoke, enc.buffer()).status();
-}
-
-void DistLockServer::HandleDeadHolder(uint32_t holder) {
-  {
-    std::unique_lock<std::mutex> lk(recovery_mu_);
-    if (recovering_.count(holder) > 0) {
-      recovery_cv_.wait(lk, [&] { return recovering_.count(holder) == 0; });
-      return;
-    }
-  }
-  if (!SlotLiveLocally(holder)) {
-    bool open;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      open = holder < kNumLeaseSlots && state_.slots[holder].open;
-    }
-    if (!open) {
-      return;  // already recovered
-    }
-  } else {
-    // Lease still valid: transient failure; let the requester retry.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(recovery_mu_);
-    if (recovering_.count(holder) > 0) {
-      return;
-    }
-    recovering_.insert(holder);
-  }
-
+bool DistLockServer::ClaimRecovery(uint32_t dead) {
   // Claim the recovery so only one demon replays this log (§6: the recovery
   // demon holds an exclusive lock on the log; here the claim is replicated).
   LockCommand claim;
   claim.kind = LockCmdKind::kClaimRecovery;
-  claim.slot = holder;
+  claim.slot = dead;
   claim.server = self_;
   (void)paxos_->Propose(claim.Encode());
-  NodeId claimed_by;
-  bool still_open;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    claimed_by = state_.recovery_claim[holder];
-    still_open = state_.slots[holder].open;
+  std::unique_lock<std::mutex> lk(mu_);
+  NodeId claimed_by = state_.recovery_claim[dead];
+  if (slots_.IsOpen(dead) && (claimed_by == self_ || claimed_by == kInvalidNode)) {
+    return true;
   }
-  if (!still_open || (claimed_by != self_ && claimed_by != kInvalidNode)) {
-    // Someone else drives it (or it's done). Wait until the slot is freed.
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait_for(lk, std::chrono::seconds(30), [&] { return !state_.slots[holder].open; });
-    std::lock_guard<std::mutex> rl(recovery_mu_);
-    recovering_.erase(holder);
-    recovery_cv_.notify_all();
-    return;
-  }
-
-  FLOG(WARN) << "dist-lockd@" << self_ << ": recovering dead slot " << holder;
-  bool recovered = false;
-  for (int round = 0; round < 8 && !recovered; ++round) {
-    std::vector<std::pair<uint32_t, NodeId>> clerks;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
-        if (s != holder && state_.slots[s].open &&
-            clock_->Now() <= last_renew_[s] + lease_duration_) {
-          clerks.emplace_back(s, state_.slots[s].clerk);
-        }
-      }
-    }
-    for (const auto& [slot, clerk] : clerks) {
-      Encoder enc;
-      enc.PutU32(holder);
-      StatusOr<Bytes> reply =
-          net_->Call(self_, clerk, LockClerk::kServiceName, kClerkRecoverSlot, enc.buffer());
-      if (reply.ok()) {
-        recovered = true;
-        break;
-      }
-    }
-    if (!recovered) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  if (recovered) {
-    LockCommand done;
-    done.kind = LockCmdKind::kSlotRecovered;
-    done.slot = holder;
-    (void)paxos_->Propose(done.Encode());
-  }
-  {
-    std::lock_guard<std::mutex> lk(recovery_mu_);
-    recovering_.erase(holder);
-  }
-  recovery_cv_.notify_all();
+  // Someone else drives it (or it's done). Wait until the slot is freed.
+  cv_.wait_for(lk, std::chrono::seconds(30), [&] { return !slots_.IsOpen(dead); });
+  return false;
 }
 
-void DistLockServer::CheckLeases() {
-  std::vector<uint32_t> expired;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    TimePoint now = clock_->Now();
-    for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
-      if (state_.slots[s].open && now > last_renew_[s] + lease_duration_) {
-        expired.push_back(s);
-      }
-    }
-  }
-  for (uint32_t slot : expired) {
-    HandleDeadHolder(slot);
-  }
+void DistLockServer::FinishRecovery(uint32_t dead) {
+  LockCommand done;
+  done.kind = LockCmdKind::kSlotRecovered;
+  done.slot = dead;
+  (void)paxos_->Propose(done.Encode());
 }
 
 void DistLockServer::FailureDetectTick(int threshold) {

@@ -31,10 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "src/base/clock.h"
-#include "src/lock/lock_core.h"
-#include "src/lock/types.h"
-#include "src/net/network.h"
+#include "src/lock/lock_server.h"
 #include "src/paxos/paxos.h"
 
 namespace frangipani {
@@ -60,16 +57,11 @@ struct LockCommand {
   static StatusOr<LockCommand> Decode(const Bytes& raw);
 };
 
-// The Paxos-replicated view every lock server maintains.
+// The Paxos-replicated view every lock server maintains. The list of clerks
+// with the table open is the engine's slot table, which OnApply drives.
 struct LockGlobalState {
   std::vector<NodeId> servers;                       // active lock servers
   std::array<NodeId, kNumLockGroups> assignment{};   // group -> server
-  struct SlotInfo {
-    bool open = false;
-    std::string table;
-    NodeId clerk = kInvalidNode;
-  };
-  std::array<SlotInfo, kNumLeaseSlots> slots{};
   std::array<NodeId, kNumLeaseSlots> recovery_claim{};  // slot -> claiming server
 };
 
@@ -78,76 +70,56 @@ struct LockGlobalState {
 // already-valid assignments move only when balance requires it.
 void RebalanceGroups(LockGlobalState& state);
 
-class DistLockServer : public Service {
+class DistLockServer : public LockServer {
  public:
-  static constexpr const char* kServiceName = "lockd";
-
   DistLockServer(Network* net, NodeId self, std::vector<NodeId> paxos_group,
                  std::vector<NodeId> initial_active, PaxosDurableState* paxos_state, Clock* clock,
                  Duration lease_duration = kDefaultLeaseDuration);
   ~DistLockServer() override;
-
-  StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override;
 
   // Membership administration (driven by the harness or by the failure
   // detector below).
   Status ProposeAddServer(NodeId server);
   Status ProposeRemoveServer(NodeId server);
 
-  // Lease sweep: initiates recovery for locally-expired slots.
-  void CheckLeases();
-
   // Pings peers; proposes removal of peers that miss `threshold` consecutive
   // pings. One call = one round (drive from a PeriodicTask).
   void FailureDetectTick(int threshold = 3);
 
+  // Catches up on the replicated commands missed while down; lock state is
+  // recovered lazily from clerks (cold groups).
+  void OnRestart(const ClerkList& /*clerks*/) override { paxos_->CatchUp(); }
+
   LockGlobalState StateSnapshot() const;
-  size_t lock_count() const { return core_.lock_count(); }
-  NodeId node() const { return self_; }
   PaxosPeer* paxos() { return paxos_.get(); }
+
+ protected:
+  StatusOr<uint32_t> OpenSlot(const std::string& table, NodeId clerk) override;
+  Status CloseSlot(uint32_t slot) override;
+  // No renewal once a recovery claim for the slot is replicated.
+  bool MayRenew(uint32_t slot) override;
+  // Group ownership; warms groups this server just gained (phase 2 of
+  // reassignment) before serving them.
+  Status ServesLock(LockId lock) override;
+  bool ClaimRecovery(uint32_t dead) override;
+  void FinishRecovery(uint32_t dead) override;
+  void Assignment(std::vector<NodeId>* servers,
+                  std::array<NodeId, kNumLockGroups>* groups) override;
 
  private:
   void OnApply(uint64_t index, const Bytes& raw);
 
-  StatusOr<Bytes> DoOpen(Decoder& dec, NodeId from);
-  StatusOr<Bytes> DoClose(Decoder& dec);
-  StatusOr<Bytes> DoRenew(Decoder& dec);
-  StatusOr<Bytes> DoRequest(Decoder& dec);
-  StatusOr<Bytes> DoRelease(Decoder& dec);
-  StatusOr<Bytes> DoGetAssignment();
-
-  // Restamps `slot`'s lease on any message from its live holder (same guard
-  // as DoRenew), so piggybacked acks/releases keep the lease fresh here.
-  void ImplicitRenew(uint32_t slot);
-
-  Status RevokeAt(uint32_t holder, LockId lock, LockMode new_mode, LockRange range);
-  void HandleDeadHolder(uint32_t holder);
-
   // Phase 2 of reassignment: rebuild lock state for groups this server just
   // gained by querying every clerk with the table open.
   void WarmColdGroups();
-
-  bool SlotLiveLocally(uint32_t slot) const;
-  NodeId ClerkOf(uint32_t slot) const;
-
-  Network* net_;
-  NodeId self_;
-  Clock* clock_;
-  Duration lease_duration_;
-  LockCore core_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   LockGlobalState state_;
   std::map<uint64_t, uint32_t> nonce_slots_;  // open-clerk results
   uint64_t next_nonce_ = 1;
-  std::array<TimePoint, kNumLeaseSlots> last_renew_{};
   std::set<uint32_t> cold_groups_;
   bool warming_ = false;
-
-  std::mutex recovery_mu_;
-  std::condition_variable recovery_cv_;
-  std::set<uint32_t> recovering_;
 
   std::map<NodeId, int> ping_failures_;
 

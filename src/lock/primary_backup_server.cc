@@ -1,45 +1,39 @@
 #include "src/lock/primary_backup_server.h"
 
-#include <thread>
-
 #include "src/base/logging.h"
-#include "src/lock/clerk.h"
 
 namespace frangipani {
-
-namespace {
-// See CentralizedLockServer: a message from a live holder restamps its lease
-// (extends only the server's view — always safe), so piggybacked traffic
-// substitutes for standalone renewals.
-void ImplicitRenew(SlotTable& slots, uint32_t slot) {
-  static obs::Counter* implicit_renewals =
-      obs::MetricsRegistry::Default()->GetCounter("lockd.implicit_renewals");
-  if (slots.Renew(slot)) {
-    implicit_renewals->Increment();
-  }
-}
-}  // namespace
 
 PrimaryBackupLockServer::PrimaryBackupLockServer(Network* net, NodeId self, NodeId peer,
                                                  bool start_active, PetalClient* petal,
                                                  VdiskId state_vdisk, Clock* clock,
                                                  Duration lease_duration)
-    : net_(net),
-      self_(self),
+    : LockServer(net, self, clock, lease_duration),
       peer_(peer),
       petal_(petal),
       state_vdisk_(state_vdisk),
-      clock_(clock),
-      slots_(clock, lease_duration),
       active_(start_active) {
   net_->RegisterService(self_, kServiceName, this);
 }
 
-PrimaryBackupLockServer::~PrimaryBackupLockServer() {
-  net_->UnregisterService(self_, kServiceName);
+Status PrimaryBackupLockServer::Admit() {
+  if (active_.load()) {
+    return OkStatus();
+  }
+  StatusOr<Bytes> ping = net_->Call(self_, peer_, kServiceName, kLockGetAssignment, Bytes{});
+  if (ping.ok()) {
+    return Unavailable("standby lock server; use primary");
+  }
+  std::lock_guard<std::mutex> guard(activate_mu_);
+  if (!active_.load()) {
+    RETURN_IF_ERROR(LoadState());
+    active_.store(true);
+    FLOG(INFO) << "pb-lockd@" << self_ << ": activated (took over lock service)";
+  }
+  return OkStatus();
 }
 
-void PrimaryBackupLockServer::PersistState() {
+void PrimaryBackupLockServer::Commit() {
   Encoder enc;
   slots_.Encode(enc);
   std::vector<LockCore::DumpEntry> dump = core_.Dump();
@@ -88,184 +82,6 @@ Status PrimaryBackupLockServer::LoadState() {
     return DataLoss("corrupt lock state blob");
   }
   return OkStatus();
-}
-
-Status PrimaryBackupLockServer::Activate() {
-  RETURN_IF_ERROR(LoadState());
-  active_.store(true);
-  FLOG(INFO) << "pb-lockd@" << self_ << ": activated (took over lock service)";
-  return OkStatus();
-}
-
-StatusOr<Bytes> PrimaryBackupLockServer::Handle(uint32_t method, const Bytes& request,
-                                                NodeId from) {
-  Decoder dec(request);
-  if (method == kLockActivate) {
-    RETURN_IF_ERROR(Activate());
-    return Bytes{};
-  }
-  if (!active_.load()) {
-    // Backup: if the primary is gone, take over; otherwise redirect.
-    StatusOr<Bytes> ping = net_->Call(self_, peer_, kServiceName, kLockGetAssignment, Bytes{});
-    if (ping.ok()) {
-      return Unavailable("standby lock server; use primary");
-    }
-    RETURN_IF_ERROR(Activate());
-  }
-  return Dispatch(method, dec, from);
-}
-
-StatusOr<Bytes> PrimaryBackupLockServer::Dispatch(uint32_t method, Decoder& dec, NodeId from) {
-  switch (method) {
-    case kLockOpen: {
-      std::string table = dec.GetString();
-      if (!dec.ok()) {
-        return InvalidArgument("bad open");
-      }
-      ASSIGN_OR_RETURN(uint32_t slot, slots_.Open(table, from));
-      PersistState();
-      Encoder enc;
-      enc.PutU32(slot);
-      enc.PutI64(
-          std::chrono::duration_cast<std::chrono::microseconds>(slots_.lease_duration()).count());
-      return enc.Take();
-    }
-    case kLockClose: {
-      uint32_t slot = dec.GetU32();
-      core_.ReleaseAll(slot);
-      slots_.Close(slot);
-      PersistState();
-      return Bytes{};
-    }
-    case kLockRenew: {
-      uint32_t slot = dec.GetU32();
-      Encoder enc;
-      enc.PutBool(slots_.Renew(slot));
-      return enc.Take();
-    }
-    case kLockRequest: {
-      uint32_t slot = dec.GetU32();
-      LockId lock = dec.GetU64();
-      LockMode mode = static_cast<LockMode>(dec.GetU8());
-      LockRange range{dec.GetU64(), dec.GetU64()};
-      if (!dec.ok()) {
-        return InvalidArgument("bad request");
-      }
-      if (!slots_.IsOpen(slot) || slots_.Expired(slot)) {
-        return StaleLease("lease not live");
-      }
-      ImplicitRenew(slots_, slot);
-      LockRange granted;
-      RETURN_IF_ERROR(core_.Request(
-          slot, lock, mode, range,
-          [this](uint32_t holder, LockId l, LockMode m, LockRange r) {
-            return RevokeAt(holder, l, m, r);
-          },
-          [this](uint32_t holder) { HandleDeadHolder(holder); }, &granted));
-      PersistState();
-      Encoder enc;
-      enc.PutU64(granted.start);
-      enc.PutU64(granted.end);
-      return enc.Take();
-    }
-    case kLockRelease: {
-      uint32_t slot = dec.GetU32();
-      LockId lock = dec.GetU64();
-      LockMode new_mode = static_cast<LockMode>(dec.GetU8());
-      LockRange range{dec.GetU64(), dec.GetU64()};
-      if (!dec.ok()) {
-        return InvalidArgument("bad release");
-      }
-      ImplicitRenew(slots_, slot);
-      core_.Release(slot, lock, new_mode, range);
-      PersistState();
-      return Bytes{};
-    }
-    case kLockAck: {
-      uint32_t slot = dec.GetU32();
-      LockId lock = dec.GetU64();
-      ImplicitRenew(slots_, slot);
-      core_.Ack(slot, lock);
-      return Bytes{};
-    }
-    case kLockGetAssignment: {
-      Encoder enc;
-      enc.PutU32(1);
-      enc.PutU32(self_);
-      enc.PutU32(kNumLockGroups);
-      for (uint32_t g = 0; g < kNumLockGroups; ++g) {
-        enc.PutU32(self_);
-      }
-      return enc.Take();
-    }
-    default:
-      return InvalidArgument("unknown lockd method");
-  }
-}
-
-Status PrimaryBackupLockServer::RevokeAt(uint32_t holder, LockId lock, LockMode new_mode,
-                                         LockRange range) {
-  if (slots_.Expired(holder)) {
-    return Unavailable("holder lease expired");
-  }
-  NodeId clerk = slots_.ClerkOf(holder);
-  if (clerk == kInvalidNode) {
-    return OkStatus();
-  }
-  Encoder enc;
-  enc.PutU64(lock);
-  enc.PutU8(static_cast<uint8_t>(new_mode));
-  enc.PutU64(range.start);
-  enc.PutU64(range.end);
-  return net_->Call(self_, clerk, LockClerk::kServiceName, kClerkRevoke, enc.buffer()).status();
-}
-
-void PrimaryBackupLockServer::HandleDeadHolder(uint32_t holder) {
-  {
-    std::unique_lock<std::mutex> lk(recovery_mu_);
-    if (recovering_.count(holder) > 0) {
-      recovery_cv_.wait(lk, [&] { return recovering_.count(holder) == 0; });
-      return;
-    }
-    if (!slots_.IsOpen(holder)) {
-      return;
-    }
-    if (!slots_.Expired(holder)) {
-      lk.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      return;
-    }
-    recovering_.insert(holder);
-  }
-  bool recovered = false;
-  for (int round = 0; round < 8 && !recovered; ++round) {
-    for (const auto& [slot, clerk] : slots_.LiveClerks()) {
-      if (slot == holder) {
-        continue;
-      }
-      Encoder enc;
-      enc.PutU32(holder);
-      StatusOr<Bytes> reply =
-          net_->Call(self_, clerk, LockClerk::kServiceName, kClerkRecoverSlot, enc.buffer());
-      if (reply.ok()) {
-        recovered = true;
-        break;
-      }
-    }
-    if (!recovered) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(recovery_mu_);
-    if (recovered) {
-      core_.ReleaseAll(holder);
-      slots_.Free(holder);
-      PersistState();
-    }
-    recovering_.erase(holder);
-  }
-  recovery_cv_.notify_all();
 }
 
 }  // namespace frangipani

@@ -7,65 +7,43 @@
 // variant but common-case performance is poorer (every state change pays a
 // Petal write). Also as in the paper, automatic recovery is not handled for
 // every failure mode: takeover is triggered when the backup receives traffic
-// while the primary is unreachable (or explicitly via kLockActivate).
+// while the primary is unreachable.
 #ifndef SRC_LOCK_PRIMARY_BACKUP_SERVER_H_
 #define SRC_LOCK_PRIMARY_BACKUP_SERVER_H_
 
 #include <atomic>
 #include <mutex>
-#include <set>
 
-#include "src/base/clock.h"
-#include "src/lock/lock_core.h"
-#include "src/lock/slot_table.h"
-#include "src/lock/types.h"
-#include "src/net/network.h"
+#include "src/lock/lock_server.h"
 #include "src/petal/petal_client.h"
 
 namespace frangipani {
 
-class PrimaryBackupLockServer : public Service {
+class PrimaryBackupLockServer : public LockServer {
  public:
-  static constexpr const char* kServiceName = "lockd";
-
   PrimaryBackupLockServer(Network* net, NodeId self, NodeId peer, bool start_active,
                           PetalClient* petal, VdiskId state_vdisk, Clock* clock,
                           Duration lease_duration = kDefaultLeaseDuration);
-  ~PrimaryBackupLockServer() override;
-
-  StatusOr<Bytes> Handle(uint32_t method, const Bytes& request, NodeId from) override;
 
   bool active() const { return active_.load(); }
-  // Loads state from Petal and starts serving (backup takeover).
-  Status Activate();
 
-  size_t lock_count() const { return core_.lock_count(); }
-
- private:
-  StatusOr<Bytes> Dispatch(uint32_t method, Decoder& dec, NodeId from);
-  Status RevokeAt(uint32_t holder, LockId lock, LockMode new_mode, LockRange range);
-  void HandleDeadHolder(uint32_t holder);
-
+ protected:
+  // Standby: redirect while the primary answers; otherwise load the state
+  // from Petal and take over.
+  Status Admit() override;
   // Writes the full lock/lease state through to Petal ("each lock state
   // change"). Serialized; called after every mutation while active.
-  void PersistState();
+  void Commit() override;
+
+ private:
   Status LoadState();
 
-  Network* net_;
-  NodeId self_;
   NodeId peer_;
   PetalClient* petal_;
   VdiskId state_vdisk_;
-  Clock* clock_;
-  SlotTable slots_;
-  LockCore core_;
   std::atomic<bool> active_;
-
+  std::mutex activate_mu_;  // one takeover loads the state
   std::mutex persist_mu_;
-
-  std::mutex recovery_mu_;
-  std::condition_variable recovery_cv_;
-  std::set<uint32_t> recovering_;
 };
 
 }  // namespace frangipani

@@ -51,14 +51,6 @@ bool SlotTable::Expired(uint32_t slot) const {
   return clock_->Now() > slots_[slot].last_renew + lease_duration_;
 }
 
-TimePoint SlotTable::ExpiryOf(uint32_t slot) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !slots_[slot].open) {
-    return TimePoint{};
-  }
-  return slots_[slot].last_renew + lease_duration_;
-}
-
 NodeId SlotTable::ClerkOf(uint32_t slot) const {
   std::lock_guard<std::mutex> guard(mu_);
   if (slot >= kNumLeaseSlots || !slots_[slot].open) {
@@ -67,20 +59,23 @@ NodeId SlotTable::ClerkOf(uint32_t slot) const {
   return slots_[slot].clerk;
 }
 
-std::string SlotTable::TableOf(uint32_t slot) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (slot >= kNumLeaseSlots || !slots_[slot].open) {
-    return "";
-  }
-  return slots_[slot].table;
-}
-
 std::vector<std::pair<uint32_t, NodeId>> SlotTable::LiveClerks() const {
   std::lock_guard<std::mutex> guard(mu_);
   std::vector<std::pair<uint32_t, NodeId>> out;
   TimePoint now = clock_->Now();
   for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
     if (slots_[s].open && now <= slots_[s].last_renew + lease_duration_) {
+      out.emplace_back(s, slots_[s].clerk);
+    }
+  }
+  return out;
+}
+
+std::vector<std::pair<uint32_t, NodeId>> SlotTable::OpenClerks() const {
+  std::lock_guard<std::mutex> guard(mu_);
+  std::vector<std::pair<uint32_t, NodeId>> out;
+  for (uint32_t s = 0; s < kNumLeaseSlots; ++s) {
+    if (slots_[s].open) {
       out.emplace_back(s, slots_[s].clerk);
     }
   }

@@ -1,4 +1,4 @@
-// Lease-slot bookkeeping shared by the three lock-server implementations.
+// Lease-slot bookkeeping of the lock-server engine (all three flavours).
 // A slot is the lease identifier handed to a clerk on open; it doubles as
 // the Frangipani server's log slot (§7). Slots are scarce (256) and are
 // freed only after the dead server's log has been recovered.
@@ -39,20 +39,19 @@ class SlotTable {
 
   bool IsOpen(uint32_t slot) const;
   bool Expired(uint32_t slot) const;
-  TimePoint ExpiryOf(uint32_t slot) const;
   NodeId ClerkOf(uint32_t slot) const;
-  std::string TableOf(uint32_t slot) const;
 
   // Live = open and lease not expired.
   std::vector<std::pair<uint32_t, NodeId>> LiveClerks() const;
+  // Every open slot, expired or not.
+  std::vector<std::pair<uint32_t, NodeId>> OpenClerks() const;
   std::vector<uint32_t> ExpiredSlots() const;
 
-  // Used when reconstructing state (primary/backup takeover, replicated
-  // apply). `fresh_lease` restamps the renewal time to "now".
+  // Used when rebuilding state from clerks after a restart. Restamps the
+  // renewal time to "now".
   void InstallOpen(uint32_t slot, const std::string& table, NodeId clerk);
 
   Duration lease_duration() const { return lease_duration_; }
-  Clock* clock() const { return clock_; }
 
   void Encode(Encoder& enc) const;
   void DecodeInto(Decoder& dec);

@@ -78,11 +78,10 @@ inline constexpr Duration kDefaultLeaseMargin{15'000'000};
 enum LockServerMethod : uint32_t {
   kLockOpen = 1,      // {table}                          -> {slot, lease_us}
   kLockClose = 2,     // {slot}                           -> {}
-  kLockRenew = 3,     // {slot}                           -> {lease_us remaining ok}
+  kLockRenew = 3,     // {slot}                           -> {ok: bool}
   kLockRequest = 4,   // {slot, lock, mode, start, end}   -> {start, end} granted (blocks)
   kLockRelease = 5,   // {slot, lock, new_mode, start, end} -> {}
   kLockGetAssignment = 6,  // {}                          -> {servers, group map}
-  kLockActivate = 7,  // primary/backup: force takeover (admin/testing)
   kLockAck = 8,       // {slot, lock}: clerk acknowledges a grant
 };
 

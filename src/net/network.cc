@@ -261,15 +261,6 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
   return results;
 }
 
-std::future<std::vector<StatusOr<Bytes>>> Network::CallBatchAsync(NodeId from, NodeId to,
-                                                                  std::vector<SubCall> subs) {
-  auto task = std::make_shared<std::packaged_task<std::vector<StatusOr<Bytes>>()>>(
-      [this, from, to, batch = std::move(subs)] { return CallBatch(from, to, batch); });
-  std::future<std::vector<StatusOr<Bytes>>> result = task->get_future();
-  SubmitIo([task] { (*task)(); });
-  return result;
-}
-
 std::vector<StatusOr<Bytes>> Network::ParallelCalls(NodeId from,
                                                     const std::vector<CallSpec>& specs,
                                                     uint32_t window, ParallelForOptions opts,

@@ -110,10 +110,6 @@ class Network {
   std::vector<StatusOr<Bytes>> CallBatch(NodeId from, NodeId to,
                                          const std::vector<SubCall>& subs);
 
-  // CallBatch executed on the IO thread pool.
-  std::future<std::vector<StatusOr<Bytes>>> CallBatchAsync(NodeId from, NodeId to,
-                                                           std::vector<SubCall> subs);
-
   // ---- Async IO ----
   // Runs `fn` on the shared IO thread pool (created lazily on first use).
   // Tasks typically wrap one or more synchronous Call()s; a task must never

@@ -73,8 +73,8 @@ Status Cluster::Start() {
   }
   switch (options_.lock_kind) {
     case LockServiceKind::kCentralized: {
-      central_lock_ = std::make_unique<CentralizedLockServer>(&net_, lock_nodes_[0], clock_,
-                                                              options_.lease_duration);
+      lock_servers_.push_back(std::make_unique<CentralizedLockServer>(
+          &net_, lock_nodes_[0], clock_, options_.lease_duration));
       break;
     }
     case LockServiceKind::kPrimaryBackup: {
@@ -84,12 +84,11 @@ Status Cluster::Start() {
             std::make_unique<PetalClient>(&net_, lock_nodes_[i], petal_nodes_));
         RETURN_IF_ERROR(pb_petal_clients_.back()->RefreshMap());
       }
-      pb_lock_.push_back(std::make_unique<PrimaryBackupLockServer>(
-          &net_, lock_nodes_[0], lock_nodes_[1], /*start_active=*/true,
-          pb_petal_clients_[0].get(), pb_state_vdisk_, clock_, options_.lease_duration));
-      pb_lock_.push_back(std::make_unique<PrimaryBackupLockServer>(
-          &net_, lock_nodes_[1], lock_nodes_[0], /*start_active=*/false,
-          pb_petal_clients_[1].get(), pb_state_vdisk_, clock_, options_.lease_duration));
+      for (int i = 0; i < 2; ++i) {
+        lock_servers_.push_back(std::make_unique<PrimaryBackupLockServer>(
+            &net_, lock_nodes_[i], lock_nodes_[1 - i], /*start_active=*/i == 0,
+            pb_petal_clients_[i].get(), pb_state_vdisk_, clock_, options_.lease_duration));
+      }
       break;
     }
     case LockServiceKind::kDistributed: {
@@ -97,7 +96,7 @@ Status Cluster::Start() {
         lock_paxos_state_.push_back(std::make_unique<PaxosDurableState>());
       }
       for (int i = 0; i < options_.lock_servers; ++i) {
-        dist_lock_.push_back(std::make_unique<DistLockServer>(
+        lock_servers_.push_back(std::make_unique<DistLockServer>(
             &net_, lock_nodes_[i], lock_nodes_, lock_nodes_, lock_paxos_state_[i].get(),
             clock_, options_.lease_duration));
       }
@@ -180,19 +179,13 @@ Status Cluster::RestartLockServer(size_t idx) {
     return InvalidArgument("no such lock server");
   }
   net_.SetNodeUp(lock_nodes_[idx], true);
-  if (options_.lock_kind == LockServiceKind::kDistributed) {
-    // Rebuild volatile lock state: catch up on replicated commands; lock
-    // state itself is recovered lazily from clerks (cold groups).
-    dist_lock_[idx]->paxos()->CatchUp();
-  } else if (options_.lock_kind == LockServiceKind::kCentralized) {
-    std::vector<std::pair<uint32_t, NodeId>> clerks;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i] && net_.IsNodeUp(frangipani_nodes_[i])) {
-        clerks.emplace_back(nodes_[i]->slot(), frangipani_nodes_[i]);
-      }
+  LockServer::ClerkList clerks;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i] && net_.IsNodeUp(frangipani_nodes_[i])) {
+      clerks.emplace_back(nodes_[i]->slot(), frangipani_nodes_[i]);
     }
-    central_lock_->RecoverStateFromClerks(clerks);
   }
+  lock_servers_[idx]->OnRestart(clerks);
   return OkStatus();
 }
 
@@ -201,22 +194,10 @@ void Cluster::PartitionFrangipani(size_t idx, bool partitioned) {
 }
 
 void Cluster::CheckLeases() {
-  switch (options_.lock_kind) {
-    case LockServiceKind::kCentralized:
-      if (central_lock_) {
-        central_lock_->CheckLeases();
-      }
-      break;
-    case LockServiceKind::kDistributed:
-      for (auto& server : dist_lock_) {
-        if (net_.IsNodeUp(server->node())) {
-          server->CheckLeases();
-        }
-      }
-      break;
-    case LockServiceKind::kPrimaryBackup:
-      // Lease sweeps happen lazily on conflicting requests in this flavor.
-      break;
+  for (auto& server : lock_servers_) {
+    if (net_.IsNodeUp(server->node())) {
+      server->CheckLeases();
+    }
   }
 }
 

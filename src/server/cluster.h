@@ -84,9 +84,10 @@ class Cluster {
   FrangipaniFs* fs(size_t idx) { return nodes_[idx]->fs(); }
   PetalClient* admin_petal() { return admin_petal_.get(); }
   PetalServer* petal_server(size_t idx) { return petal_runtime_[idx].get(); }
-  DistLockServer* dist_lock_server(size_t idx) { return dist_lock_[idx].get(); }
-  CentralizedLockServer* central_lock_server() { return central_lock_.get(); }
-  PrimaryBackupLockServer* pb_lock_server(size_t idx) { return pb_lock_[idx].get(); }
+  // nullptr unless lock_kind == kDistributed.
+  DistLockServer* dist_lock_server(size_t idx) {
+    return dynamic_cast<DistLockServer*>(lock_servers_[idx].get());
+  }
   NodeId petal_node(size_t idx) const { return petal_nodes_[idx]; }
   NodeId lock_node(size_t idx) const { return lock_nodes_[idx]; }
   NodeId frangipani_node(size_t idx) const { return frangipani_nodes_[idx]; }
@@ -125,9 +126,7 @@ class Cluster {
 
   std::vector<NodeId> lock_nodes_;
   std::vector<std::unique_ptr<PaxosDurableState>> lock_paxos_state_;
-  std::vector<std::unique_ptr<DistLockServer>> dist_lock_;
-  std::unique_ptr<CentralizedLockServer> central_lock_;
-  std::vector<std::unique_ptr<PrimaryBackupLockServer>> pb_lock_;
+  std::vector<std::unique_ptr<LockServer>> lock_servers_;
   std::vector<std::unique_ptr<PetalClient>> pb_petal_clients_;  // lock-state persistence
   VdiskId pb_state_vdisk_ = kInvalidVdisk;
 
