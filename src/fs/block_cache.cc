@@ -14,7 +14,7 @@ BlockCache::BlockCache(BlockDevice* device, LogWriter* wal, BlockCacheOptions op
       wal_(wal),
       options_(options),
       lease_expiry_us_(std::move(lease_expiry_us)),
-      shards_(options.shards < 1 ? 1 : options.shards) {
+      shards_(kShards) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_hits_ = reg->GetCounter("fs.cache.hits");
   m_misses_ = reg->GetCounter("fs.cache.misses");

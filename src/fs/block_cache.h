@@ -48,7 +48,6 @@ struct BlockCacheOptions {
   size_t capacity_bytes = 64 << 20;
   size_t dirty_hiwater_bytes = 8 << 20;
   int io_threads = 8;
-  int shards = 16;
 };
 
 class BlockCache {
@@ -119,6 +118,8 @@ class BlockCache {
   uint64_t misses() const { return misses_.load(); }
 
  private:
+  static constexpr int kShards = 16;
+
   struct Entry {
     std::shared_ptr<const Bytes> data;
     LockId lock = 0;

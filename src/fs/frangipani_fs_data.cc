@@ -544,10 +544,10 @@ void FrangipaniFs::OnLockRevoked(LockId lock, LockMode new_mode, LockRange range
   // invalidate on full release, keep cached data on downgrade. A partial
   // (byte-range) revoke touches only the blocks inside the revoked extent —
   // the rest of the file stays cached and dirty.
-  obs::SpanScope span(obs::Layer::kFs,
-                      range.full() ? "fs.revoke_flush" : "fs.range_revoke_flush",
-                      options_.node_id, "lock", lock, "new_mode",
-                      static_cast<uint64_t>(new_mode));
+  // Record-only: on the requester's thread this flush is its lock wait.
+  obs::Span span(obs::kRecordOnly, obs::Layer::kFs,
+                 range.full() ? "fs.revoke_flush" : "fs.range_revoke_flush", options_.node_id,
+                 "lock", lock, "new_mode", static_cast<uint64_t>(new_mode));
   size_t flushed = 0;
   Status st = cache_->FlushLock(lock, range.start, range.end, &flushed);
   if (!st.ok()) {

@@ -126,7 +126,7 @@ LogWriter::LogWriter(BlockDevice* device, const Geometry& geometry, uint32_t slo
 }
 
 uint64_t LogWriter::Append(LogRecord record) {
-  obs::LayerTimer timer(obs::Layer::kWal);
+  obs::Span span(obs::Layer::kWal, "wal.append", node_id_);
   m_appends_->Increment();
   std::lock_guard<std::mutex> guard(mu_);
   record.lsn = next_lsn_++;
@@ -151,13 +151,13 @@ uint64_t LogWriter::sectors_written() const {
 }
 
 Status LogWriter::FlushTo(uint64_t lsn) {
-  obs::LayerTimer timer(obs::Layer::kWal, m_flush_us_);
+  obs::Span span(obs::Layer::kWal, "wal.flush_to", node_id_, m_flush_us_, "lsn", lsn);
   std::unique_lock<std::mutex> lk(mu_);
   return FlushLocked(lsn, lk);
 }
 
 Status LogWriter::FlushAll() {
-  obs::LayerTimer timer(obs::Layer::kWal, m_flush_us_);
+  obs::Span span(obs::Layer::kWal, "wal.flush_all", node_id_, m_flush_us_);
   std::unique_lock<std::mutex> lk(mu_);
   return FlushLocked(next_lsn_ - 1, lk);
 }
@@ -184,7 +184,7 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
   flushing_ = true;
   // Opened only once this call owns the flush (the early-outs above are the
   // re-entrant/no-op paths); args bound below once the batch is gathered.
-  obs::SpanScope span(obs::Layer::kWal, "wal.flush", node_id_);
+  obs::Span span(obs::Layer::kWal, "wal.flush", node_id_);
 
   // Group commit (leader side): hold the write open for a short window so
   // concurrent FlushTo callers and fresh appends can pile into this batch.
@@ -347,11 +347,8 @@ Status LogWriter::FlushLocked(uint64_t lsn, std::unique_lock<std::mutex>& lk) {
     // — the ones it covered skip their own write entirely.
     if (group && flush_waiters_ > 1) {
       m_group_commits_->Increment();
-      if (obs::RecorderEnabled()) {
-        obs::RecordInstant(obs::Layer::kWal, "wal.group_commit", node_id_,
-                           "records", record_sizes.size(), "waiters",
-                           flush_waiters_);
-      }
+      obs::RecordInstant(obs::Layer::kWal, "wal.group_commit", node_id_, "records",
+                         record_sizes.size(), "waiters", flush_waiters_);
     }
   }
   flushing_ = false;

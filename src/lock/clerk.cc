@@ -195,9 +195,7 @@ void LockClerk::DeliverServerBatch(LockId route_lock, std::vector<SubCall> subs,
         renew_denied_ = true;
       }
     }
-    if (obs::RecorderEnabled()) {
-      obs::RecordInstant(obs::Layer::kLock, "lock.batch_delivered", self_, "subs", wire.size());
-    }
+    obs::RecordInstant(obs::Layer::kLock, "lock.batch_delivered", self_, "subs", wire.size());
     return;
   }
 }
@@ -279,9 +277,8 @@ bool LockClerk::UsesOverlap(const Entry& e, LockRange range) {
 Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
   FGP_CHECK(mode != LockMode::kNone);
   FGP_CHECK(!range.empty());
-  obs::LayerTimer timer(obs::Layer::kLock, m_acquire_us_);
-  obs::SpanScope span(obs::Layer::kLock, "lock.acquire", self_, "lock", lock, "mode",
-                      static_cast<uint64_t>(mode));
+  obs::Span span(obs::Layer::kLock, "lock.acquire", self_, m_acquire_us_, "lock", lock, "mode",
+                 static_cast<uint64_t>(mode));
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     if (poisoned_ || !open_) {
@@ -344,9 +341,8 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
     m_remote_acquires_->Increment();
     StatusOr<Bytes> reply = Unavailable("not sent");
     {
-      obs::LayerTimer grant_timer(obs::Layer::kLock, m_grant_wait_us_);
-      obs::SpanScope grant_span(obs::Layer::kLock, "lock.grant_wait", self_, "lock", lock,
-                                "mode", static_cast<uint64_t>(mode));
+      obs::Span grant_span(obs::Layer::kLock, "lock.grant_wait", self_, m_grant_wait_us_,
+                           "lock", lock, "mode", static_cast<uint64_t>(mode));
       reply = ServerCall(kLockRequest, lock, enc.buffer());
     }
 
@@ -415,10 +411,7 @@ Status LockClerk::Acquire(LockId lock, LockMode mode, LockRange range) {
 }
 
 void LockClerk::Release(LockId lock, LockRange range) {
-  obs::LayerTimer timer(obs::Layer::kLock, m_release_us_);
-  if (obs::RecorderEnabled()) {
-    obs::RecordInstant(obs::Layer::kLock, "lock.release", self_, "lock", lock);
-  }
+  obs::Span span(obs::Layer::kLock, "lock.release", self_, m_release_us_, "lock", lock);
   std::lock_guard<std::mutex> guard(mu_);
   auto it = cache_.find(lock);
   if (it == cache_.end()) {
@@ -641,11 +634,10 @@ StatusOr<Bytes> LockClerk::HandleRevoke(Decoder& dec) {
     return InvalidArgument("bad revoke");
   }
   m_revokes_->Increment();
-  obs::LayerTimer timer(obs::Layer::kLock, m_revoke_us_);
   // Covers wait-for-users, the flush callback, and the downgrade: the
   // clerk-side half of a lock handoff chain.
-  obs::SpanScope span(obs::Layer::kLock, "lock.revoke", self_, "lock", lock, "new_mode",
-                      static_cast<uint64_t>(new_mode));
+  obs::Span span(obs::Layer::kLock, "lock.revoke", self_, m_revoke_us_, "lock", lock,
+                 "new_mode", static_cast<uint64_t>(new_mode));
   std::unique_lock<std::mutex> lk(mu_);
   if (poisoned_ || !open_) {
     // Our dirty data is gone with the lease; the lock must not change hands
@@ -677,10 +669,8 @@ StatusOr<Bytes> LockClerk::HandleRevoke(Decoder& dec) {
   if (holds_outside) {
     // Only part of our cached extents is being taken back.
     m_partial_revokes_->Increment();
-    if (obs::RecorderEnabled()) {
-      obs::RecordInstant(obs::Layer::kLock, "lock.partial_revoke", self_, "lock", lock, "start",
-                        range.start);
-    }
+    obs::RecordInstant(obs::Layer::kLock, "lock.partial_revoke", self_, "lock", lock, "start",
+                       range.start);
   }
   // Wait for local users overlapping the revoked extent to finish, then
   // flush + downgrade. Users of disjoint ranges are unaffected.

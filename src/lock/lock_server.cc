@@ -113,8 +113,8 @@ StatusOr<Bytes> LockServer::DoRequest(uint32_t slot, LockId lock, LockMode mode,
   ImplicitRenew(slot);
   // Covers conflict resolution: any revoke chain this grant triggers runs
   // inside (RevokeAt below), so a handoff shows as one nested span tree.
-  obs::SpanScope span(obs::Layer::kLock, "lockd.request", self_, "lock", lock, "mode",
-                      static_cast<uint64_t>(mode));
+  obs::Span span(obs::Layer::kLock, "lockd.request", self_, nullptr, "lock", lock, "mode",
+                 static_cast<uint64_t>(mode));
   LockRange granted;
   RETURN_IF_ERROR(core_.Request(
       slot, lock, mode, range,
@@ -123,9 +123,7 @@ StatusOr<Bytes> LockServer::DoRequest(uint32_t slot, LockId lock, LockMode mode,
       },
       [this](uint32_t holder) { HandleDeadHolder(holder); }, &granted));
   Commit();
-  if (obs::RecorderEnabled()) {
-    obs::RecordInstant(obs::Layer::kLock, "lockd.grant", self_, "lock", lock, "slot", slot);
-  }
+  obs::RecordInstant(obs::Layer::kLock, "lockd.grant", self_, "lock", lock, "slot", slot);
   Encoder enc;
   enc.PutU64(granted.start);
   enc.PutU64(granted.end);
@@ -149,8 +147,8 @@ Status LockServer::RevokeAt(uint32_t holder, LockId lock, LockMode new_mode, Loc
     // Dead by definition: do not ask the zombie; run recovery instead.
     return Unavailable("holder lease expired");
   }
-  obs::SpanScope span(obs::Layer::kLock, "lockd.revoke_rpc", self_, "lock", lock, "holder",
-                      holder);
+  obs::Span span(obs::Layer::kLock, "lockd.revoke_rpc", self_, nullptr, "lock", lock,
+                 "holder", holder);
   Encoder enc;
   enc.PutU64(lock);
   enc.PutU8(static_cast<uint8_t>(new_mode));

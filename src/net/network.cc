@@ -41,7 +41,7 @@ NodeId Network::AddNode(std::string name) {
 void Network::RegisterService(NodeId node, const std::string& service, Service* svc) {
   std::lock_guard<std::mutex> guard(mu_);
   FGP_CHECK(node >= 1 && node <= nodes_.size());
-  nodes_[node - 1]->services[service] = svc;
+  nodes_[node - 1]->services[service] = {svc, obs::InternString("rpc." + service)};
 }
 
 void Network::UnregisterService(NodeId node, const std::string& service) {
@@ -80,8 +80,9 @@ bool Network::Reachable(NodeId from, NodeId to) {
 }
 
 void Network::Transmit(Node& src, Node& dst, size_t bytes) {
-  // Attributed to the sending node: wire time, queueing included.
-  obs::SpanScope span(obs::Layer::kNet, "net.tx", src.id, "bytes", bytes, "dst", dst.id);
+  // The kNet share of every message: wire time, queueing included, recorded
+  // on the sending node.
+  obs::Span span(obs::Layer::kNet, "net.tx", src.id, nullptr, "bytes", bytes, "dst", dst.id);
   // A message occupies the sender's and the receiver's link; the completion
   // time is the later of the two reservations plus propagation latency.
   TimePoint t1 = src.nic->Acquire(bytes);
@@ -103,13 +104,8 @@ void Network::Transmit(Node& src, Node& dst, size_t bytes) {
 
 StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service,
                               uint32_t method, const Bytes& request) {
-  // Whole-RPC span (request wire + handler + reply wire), attributed to the
-  // caller. The interning cost is only paid while the recorder is on.
-  obs::SpanScope rpc_span(
-      obs::Layer::kNet,
-      obs::RecorderEnabled() ? obs::InternString("rpc." + service) : "rpc", from, "dst",
-      to, "method", method);
   Service* svc = nullptr;
+  const char* span_name = nullptr;
   Node* src = nullptr;
   Node* dst = nullptr;
   {
@@ -125,15 +121,15 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
       return Unavailable("service '" + service + "' not registered at node " +
                          std::to_string(to));
     }
-    svc = it->second;
+    svc = it->second.svc;
+    span_name = it->second.span_name;
   }
-
-  {
-    // Only the wire time counts as kNet; the handler below runs on this
-    // thread but its time belongs to whatever layer it is part of.
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*src, *dst, request.size() + kHeaderBytes);
-  }
+  // Whole-RPC span (request wire + handler + reply wire). Record-only: the
+  // wire time is kNet through Transmit's own span, and the handler runs on
+  // this thread but its time belongs to whatever layer it is part of.
+  obs::Span rpc_span(obs::kRecordOnly, obs::Layer::kNet, span_name, from, "dst", to, "method",
+                     method);
+  Transmit(*src, *dst, request.size() + kHeaderBytes);
 
   StatusOr<Bytes> response = svc->Handle(method, request, from);
 
@@ -145,10 +141,7 @@ StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service
     }
   }
   size_t resp_bytes = response.ok() ? response.value().size() : 0;
-  {
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*dst, *src, resp_bytes + kHeaderBytes);
-  }
+  Transmit(*dst, *src, resp_bytes + kHeaderBytes);
   return response;
 }
 
@@ -165,7 +158,9 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
   }
   m_vector_calls_->Increment();
   m_vector_subcalls_->Increment(subs.size());
-  obs::SpanScope span(obs::Layer::kNet, "net.vector_call", from, "dst", to, "n", subs.size());
+  // Record-only, like Call's rpc span: the sub-handlers' time is the caller's.
+  obs::Span span(obs::kRecordOnly, obs::Layer::kNet, "net.vector_call", from, "dst", to, "n",
+                 subs.size());
 
   Node* src = nullptr;
   Node* dst = nullptr;
@@ -192,10 +187,7 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
     req.PutU32(sub.method);
     req.PutBytes(sub.request);
   }
-  {
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*src, *dst, req.size() + kHeaderBytes + subs.size() * kSubHeaderBytes);
-  }
+  Transmit(*src, *dst, req.size() + kHeaderBytes + subs.size() * kSubHeaderBytes);
 
   // Destination side: demux the envelope and run each handler in order on
   // this (the caller's) thread, exactly as a plain Call would.
@@ -213,7 +205,7 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
         std::lock_guard<std::mutex> guard(mu_);
         auto it = dst->services.find(service);
         if (it != dst->services.end()) {
-          svc = it->second;
+          svc = it->second.svc;
         }
       }
       StatusOr<Bytes> sub_result =
@@ -242,10 +234,7 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
       return results;
     }
   }
-  {
-    obs::LayerTimer timer(obs::Layer::kNet);
-    Transmit(*dst, *src, rep.size() + kHeaderBytes + subs.size() * kSubHeaderBytes);
-  }
+  Transmit(*dst, *src, rep.size() + kHeaderBytes + subs.size() * kSubHeaderBytes);
 
   // Caller side: demux per-entry status + payload from the reply envelope.
   Decoder dec(rep.buffer());

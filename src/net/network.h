@@ -166,7 +166,11 @@ class Network {
     bool isolated = false;
     LinkParams params;
     std::unique_ptr<RateLimiter> nic;
-    std::map<std::string, Service*> services;
+    struct Registered {
+      Service* svc;
+      const char* span_name;  // interned "rpc.<service>", resolved once
+    };
+    std::map<std::string, Registered> services;
     obs::Counter* m_msgs = nullptr;   // messages sent by this node
     obs::Counter* m_bytes = nullptr;  // bytes sent by this node
   };

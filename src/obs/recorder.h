@@ -12,9 +12,9 @@
 //    therefore shows the *most recent* window of activity per thread, not
 //    the whole run. Slots use a seqlock (odd = mid-write) so a concurrent
 //    dump skips, rather than tears, the slot being overwritten.
-//  - Disabled path: every instrumentation site is gated on RecorderEnabled(),
-//    a single relaxed atomic load. No ring is allocated, no clock is read,
-//    and no event is constructed while the recorder is off.
+//  - Disabled path: every instrumentation site (obs::Span, RecordInstant)
+//    checks RecorderEnabled(), a single relaxed atomic load. No ring is
+//    allocated and no event is emitted while the recorder is off.
 //  - Slow-op capture: when an OpTrace completes above the configured
 //    threshold (Recorder::set_slow_op_us), its full span tree — every ring
 //    event carrying that trace id, including spans emitted by IO-pool
@@ -42,8 +42,8 @@
 namespace frangipani {
 namespace obs {
 
-// Process-wide recorder on/off flag. Read inline by every instrumentation
-// site: the entire cost of a disabled site is this one relaxed load.
+// Process-wide recorder on/off flag, read by every instrumentation site with
+// one relaxed load.
 extern std::atomic<bool> g_recorder_on;
 inline bool RecorderEnabled() { return g_recorder_on.load(std::memory_order_relaxed); }
 
@@ -51,27 +51,6 @@ inline bool RecorderEnabled() { return g_recorder_on.load(std::memory_order_rela
 // C-string pointer. Event names must be interned (or string literals) so
 // ring slots can hold raw pointers.
 const char* InternString(const std::string& s);
-
-enum class EventKind : uint8_t { kSpan = 0, kInstant = 1 };
-
-// One recorded event. `name` and the arg names must point at storage with
-// process lifetime (string literals or InternString results). Args are
-// numeric by design (lock ids, chunk indices, byte counts); 0-valued arg
-// names mark the arg as absent.
-struct TraceEvent {
-  uint64_t trace_id = 0;
-  uint32_t node = 0;  // originating simulated machine; 0 = unattributed
-  uint32_t tid = 0;   // recorder-assigned emitting-thread index
-  Layer layer = Layer::kFs;
-  EventKind kind = EventKind::kSpan;
-  const char* name = nullptr;
-  int64_t start_ns = 0;
-  int64_t dur_ns = 0;  // 0 for instants
-  const char* a0_name = nullptr;
-  uint64_t a0 = 0;
-  const char* a1_name = nullptr;
-  uint64_t a1 = 0;
-};
 
 class EventRing;
 
@@ -173,63 +152,8 @@ class Recorder {
   Counter* m_slow_ops_;
 };
 
-// RAII span: captures start time at construction, emits one kSpan event at
-// destruction. The disabled path does one relaxed load and leaves every
-// other member untouched. The trace id is sampled at destruction via
-// CurrentTraceId(), so spans on IO-pool threads pick up the submitting op's
-// inherited id.
-class SpanScope {
- public:
-  SpanScope(Layer layer, const char* name, uint32_t node = 0, const char* a0_name = nullptr,
-            uint64_t a0 = 0, const char* a1_name = nullptr, uint64_t a1 = 0)
-      : armed_(RecorderEnabled()) {
-    if (!armed_) {
-      return;
-    }
-    e_.layer = layer;
-    e_.name = name;
-    e_.node = node;
-    e_.a0_name = a0_name;
-    e_.a0 = a0;
-    e_.a1_name = a1_name;
-    e_.a1 = a1;
-    e_.start_ns = MonotonicNs();
-  }
-
-  ~SpanScope() {
-    if (!armed_) {
-      return;
-    }
-    e_.trace_id = CurrentTraceId();
-    e_.dur_ns = MonotonicNs() - e_.start_ns;
-    Recorder::Default()->Emit(e_);
-  }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  // Late-bound args for values only known mid-span (e.g. byte counts).
-  void arg0(const char* name, uint64_t v) {
-    if (armed_) {
-      e_.a0_name = name;
-      e_.a0 = v;
-    }
-  }
-  void arg1(const char* name, uint64_t v) {
-    if (armed_) {
-      e_.a1_name = name;
-      e_.a1 = v;
-    }
-  }
-
- private:
-  bool armed_;
-  TraceEvent e_;
-};
-
-// Emits a zero-duration instant event (grant applied, lock released, ...).
-// Callers gate on RecorderEnabled() only if they want to avoid evaluating
-// the args; the function itself checks too.
+// Emits a zero-duration instant event (grant applied, partial revoke, ...).
+// Does nothing while the recorder is off.
 void RecordInstant(Layer layer, const char* name, uint32_t node = 0,
                    const char* a0_name = nullptr, uint64_t a0 = 0,
                    const char* a1_name = nullptr, uint64_t a1 = 0);

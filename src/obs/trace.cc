@@ -131,30 +131,51 @@ OpTrace::~OpTrace() {
   }
 }
 
-LayerTimer::LayerTimer(Layer layer, Histogram* latency_us)
-    : layer_(layer),
-      parent_(layer),
+Span::Span(Layer layer, const char* name, uint32_t node, Histogram* latency_us,
+           const char* a0_name, uint64_t a0, const char* a1_name, uint64_t a1)
+    : Span(g_active, layer, name, node, latency_us, a0_name, a0, a1_name, a1) {}
+
+Span::Span(RecordOnly, Layer layer, const char* name, uint32_t node, const char* a0_name,
+           uint64_t a0, const char* a1_name, uint64_t a1)
+    : Span(nullptr, layer, name, node, nullptr, a0_name, a0, a1_name, a1) {}
+
+Span::Span(TraceState* trace, Layer layer, const char* name, uint32_t node,
+           Histogram* latency_us, const char* a0_name, uint64_t a0, const char* a1_name,
+           uint64_t a1)
+    : e_{.node = node, .layer = layer, .name = name, .a0_name = a0_name, .a0 = a0,
+         .a1_name = a1_name, .a1 = a1},
+      trace_(trace),
       latency_us_(latency_us),
-      trace_(g_active),
-      start_ns_(MonotonicNs()) {
+      record_(RecorderEnabled()) {
   if (trace_ != nullptr) {
     parent_ = trace_->current;
-    trace_->current = layer_;
+    trace_->current = layer;
+  }
+  if (trace_ != nullptr || latency_us_ != nullptr || record_) {
+    e_.start_ns = MonotonicNs();
   }
 }
 
-LayerTimer::~LayerTimer() {
-  int64_t elapsed = MonotonicNs() - start_ns_;
+Span::~Span() {
+  if (trace_ == nullptr && latency_us_ == nullptr && !record_) {
+    return;
+  }
+  int64_t elapsed = MonotonicNs() - e_.start_ns;
   if (latency_us_ != nullptr) {
     latency_us_->Record(static_cast<double>(elapsed) / 1e3);
   }
   // trace_ == g_active guards against a trace that ended (or moved threads)
-  // while this timer was open.
+  // while this span was open.
   if (trace_ != nullptr && trace_ == g_active) {
     trace_->current = parent_;
-    trace_->layer_ns[static_cast<int>(layer_)] += elapsed;
+    trace_->layer_ns[static_cast<int>(e_.layer)] += elapsed;
     trace_->layer_ns[static_cast<int>(parent_)] -= elapsed;
-    trace_->layer_calls[static_cast<int>(layer_)] += 1;
+    trace_->layer_calls[static_cast<int>(e_.layer)] += 1;
+  }
+  if (record_) {
+    e_.trace_id = CurrentTraceId();
+    e_.dur_ns = elapsed;
+    Recorder::Default()->Emit(e_);
   }
 }
 

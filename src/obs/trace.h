@@ -8,11 +8,12 @@
 //
 // OpTrace is the RAII root span: it stamps a trace id, times the whole op,
 // and on destruction records the total plus a per-layer breakdown into the
-// op's metrics. LayerTimer is the inner span: each layer's hot path opens
-// one, and the elapsed time is attributed *exclusively* — a LayerTimer adds
-// its elapsed time to its own layer and subtracts it from the enclosing
-// layer, so when the root closes the per-layer times sum exactly to the
-// op total (kFs holds the remainder).
+// op's metrics. Span is the inner span: each layer's hot path opens one, and
+// its two clock reads feed three outputs — exclusive-time attribution (a
+// Span adds its elapsed time to its own layer and subtracts it from the
+// enclosing layer, so when the root closes the per-layer times sum exactly
+// to the op total, kFs holding the remainder), an optional latency
+// histogram, and one flight-recorder event (src/obs/recorder.h).
 //
 // Work on threads other than the op's (prefetch pool, background flush
 // demons) simply carries no trace context and is not attributed; that is
@@ -54,7 +55,7 @@ struct TraceState {
   int64_t start_ns = 0;
   int64_t layer_ns[kNumLayers] = {};
   uint64_t layer_calls[kNumLayers] = {};
-  Layer current = Layer::kFs;  // layer charged for time not inside a LayerTimer
+  Layer current = Layer::kFs;  // layer charged for time not inside a Span
   const OpMetrics* metrics = nullptr;
 };
 
@@ -71,7 +72,7 @@ uint64_t CurrentTraceId();
 // Carries a trace id onto a worker thread for the duration of a scope, so
 // spans emitted by IO-pool / prefetch work appear as children of the
 // submitting op in the flight recorder. Deliberately does NOT create a
-// TraceState: LayerTimer exclusive-time attribution still sees no active
+// TraceState: Span exclusive-time attribution still sees no active
 // trace on the worker, so per-op layer breakdowns keep answering "where did
 // this call's latency go" (satellite: parentage changes, attribution
 // doesn't). Nests by save/restore, so chained submits are safe.
@@ -114,23 +115,76 @@ class OpTrace {
 // expose their contention.
 void LockTimed(std::unique_lock<std::mutex>& lk, Histogram* wait_us);
 
-class LayerTimer {
- public:
-  // If `latency_us` is non-null the elapsed time is also recorded there
-  // (in microseconds) whether or not a trace is active — that is how the
-  // standalone per-layer latency histograms are fed.
-  explicit LayerTimer(Layer layer, Histogram* latency_us = nullptr);
-  ~LayerTimer();
+enum class EventKind : uint8_t { kSpan = 0, kInstant = 1 };
 
-  LayerTimer(const LayerTimer&) = delete;
-  LayerTimer& operator=(const LayerTimer&) = delete;
+// One flight-recorder event. `name` and the arg names must point at storage
+// with process lifetime (string literals or InternString results). Args are
+// numeric by design (lock ids, chunk indices, byte counts); 0-valued arg
+// names mark the arg as absent.
+struct TraceEvent {
+  uint64_t trace_id = 0;
+  uint32_t node = 0;  // originating simulated machine; 0 = unattributed
+  uint32_t tid = 0;   // recorder-assigned emitting-thread index
+  Layer layer = Layer::kFs;
+  EventKind kind = EventKind::kSpan;
+  const char* name = nullptr;
+  int64_t start_ns = 0;
+  int64_t dur_ns = 0;  // 0 for instants
+  const char* a0_name = nullptr;
+  uint64_t a0 = 0;
+  const char* a1_name = nullptr;
+  uint64_t a1 = 0;
+};
+
+// Tag for a Span that records its ring event but moves no time between
+// layers: the work inside it belongs to the enclosing layer (an RPC
+// handler's time is the caller's; a revoke flush on the requester's thread
+// is that op's lock wait).
+struct RecordOnly {};
+inline constexpr RecordOnly kRecordOnly{};
+
+// RAII scope span. One clock read at open and one at close feed:
+//  - exclusive-time attribution to `layer` when an OpTrace is active on
+//    this thread (not for kRecordOnly spans);
+//  - `latency_us`, if non-null, whether or not a trace is active — that is
+//    how the standalone per-layer latency histograms are fed;
+//  - one kSpan ring event, if the recorder was on at open.
+// With none of the three wanted, a Span reads no clock and touches no ring.
+// The trace id is sampled at close via CurrentTraceId(), so spans on IO-pool
+// threads pick up the submitting op's inherited id.
+class Span {
+ public:
+  Span(Layer layer, const char* name, uint32_t node, Histogram* latency_us = nullptr,
+       const char* a0_name = nullptr, uint64_t a0 = 0, const char* a1_name = nullptr,
+       uint64_t a1 = 0);
+  Span(RecordOnly, Layer layer, const char* name, uint32_t node,
+       const char* a0_name = nullptr, uint64_t a0 = 0, const char* a1_name = nullptr,
+       uint64_t a1 = 0);
+  ~Span();
+
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  // Late-bound args for values only known mid-span (e.g. byte counts).
+  void arg0(const char* name, uint64_t v) {
+    e_.a0_name = name;
+    e_.a0 = v;
+  }
+  void arg1(const char* name, uint64_t v) {
+    e_.a1_name = name;
+    e_.a1 = v;
+  }
 
  private:
-  Layer layer_;
-  Layer parent_;
+  Span(TraceState* trace, Layer layer, const char* name, uint32_t node,
+       Histogram* latency_us, const char* a0_name, uint64_t a0, const char* a1_name,
+       uint64_t a1);
+
+  TraceEvent e_;
+  TraceState* trace_;  // attribution target; null when none
+  Layer parent_ = Layer::kFs;
   Histogram* latency_us_;
-  TraceState* trace_;
-  int64_t start_ns_;
+  bool record_;  // recorder was on at open
 };
 
 }  // namespace obs

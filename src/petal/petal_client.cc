@@ -15,9 +15,7 @@ PetalClient::PetalClient(Network* net, NodeId self, std::vector<NodeId> bootstra
       self_(self),
       bootstrap_(std::move(bootstrap_servers)),
       io_window_(options.io_window),
-      fuse_small_(options.fuse_small),
-      fuse_threshold_(options.fuse_threshold),
-      fuse_max_batch_(options.fuse_max_batch) {
+      fuse_small_(options.fuse_small) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   m_read_us_ = reg->GetHistogram("petal.read_us");
   m_write_us_ = reg->GetHistogram("petal.write_us");
@@ -143,6 +141,11 @@ StatusOr<Bytes> PetalClient::AnyCall(uint32_t method, const Bytes& request) {
 
 namespace {
 
+// Fusion limits (PetalClientOptions::fuse_small): the largest slice worth
+// fusing, and the most slices per vector call.
+constexpr uint32_t kFuseThreshold = 16 * 1024;
+constexpr size_t kFuseMaxBatch = 8;
+
 std::vector<ChunkSpan> SplitIntoChunks(uint64_t offset, uint64_t length) {
   std::vector<ChunkSpan> spans;
   spans.reserve(static_cast<size_t>(length / kChunkSize) + 2);
@@ -165,7 +168,7 @@ bool PetalClient::ShouldFuse(const std::vector<ChunkSpan>& spans) const {
     return false;
   }
   for (const ChunkSpan& s : spans) {
-    if (s.n > fuse_threshold_) {
+    if (s.n > kFuseThreshold) {
       return false;
     }
   }
@@ -197,11 +200,11 @@ std::vector<StatusOr<Bytes>> PetalClient::RunFused(const std::vector<CallSpec>& 
   pf.inflight = m_inflight_;
   pf.inflight_peak = m_inflight_peak_;
   return net_->ParallelCalls(self_, specs, io_window_.load(std::memory_order_relaxed), pf,
-                             fuse_max_batch_);
+                             kFuseMaxBatch);
 }
 
 Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes* out) {
-  obs::LayerTimer timer(obs::Layer::kPetal, m_read_us_);
+  obs::Span span(obs::Layer::kPetal, "petal.client_read", self_, m_read_us_, "bytes", length);
   m_read_bytes_->Increment(length);
   // Preallocate so concurrent sub-reads land in place; reassembly in order
   // is then free (each slice is disjoint).
@@ -255,7 +258,8 @@ Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes*
 
 Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
                           int64_t lease_expiry_us) {
-  obs::LayerTimer timer(obs::Layer::kPetal, m_write_us_);
+  obs::Span span(obs::Layer::kPetal, "petal.client_write", self_, m_write_us_, "bytes",
+                 data.size());
   m_write_bytes_->Increment(data.size());
   if (data.empty()) {
     return OkStatus();
@@ -302,7 +306,7 @@ Status PetalClient::Write(VdiskId vdisk, uint64_t offset, const Bytes& data,
 }
 
 Status PetalClient::Decommit(VdiskId vdisk, uint64_t offset, uint64_t length) {
-  obs::LayerTimer timer(obs::Layer::kPetal);
+  obs::Span span(obs::Layer::kPetal, "petal.client_decommit", self_, nullptr, "bytes", length);
   if ((offset & kChunkMask) != 0 || (length & kChunkMask) != 0) {
     return InvalidArgument("decommit range must be chunk aligned");
   }

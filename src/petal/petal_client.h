@@ -33,13 +33,12 @@ struct PetalClientOptions {
   // behavior; benches use it as the comparison baseline).
   uint32_t io_window = 8;
   // Same-destination fusion: when every slice of a multi-chunk transfer is
-  // at most fuse_threshold bytes, slices placed on the same primary travel
-  // as one vector call (one link latency for the lot). Large slices are
-  // never fused — that would serialize their modeled disk time at one
-  // server and undo the streaming scatter-gather win.
+  // at most kFuseThreshold bytes, slices placed on the same primary travel
+  // as one vector call (one link latency for the lot, at most kFuseMaxBatch
+  // slices per call). Large slices are never fused — that would serialize
+  // their modeled disk time at one server and undo the streaming
+  // scatter-gather win.
   bool fuse_small = true;
-  uint32_t fuse_threshold = 16 * 1024;
-  size_t fuse_max_batch = 8;
 };
 
 // One chunk-granularity slice of a larger transfer.
@@ -117,8 +116,6 @@ class PetalClient {
   std::vector<NodeId> bootstrap_;
   std::atomic<uint32_t> io_window_;
   bool fuse_small_;
-  uint32_t fuse_threshold_;
-  size_t fuse_max_batch_;
 
   mutable std::mutex mu_;
   PetalGlobalMap map_;

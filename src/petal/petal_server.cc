@@ -44,8 +44,7 @@ PetalServer::PetalServer(Network* net, NodeId self, std::vector<NodeId> paxos_gr
       self_(self),
       durable_(durable),
       options_(options),
-      clock_(clock),
-      ready_(options.initially_ready) {
+      clock_(clock) {
   {
     std::lock_guard<std::mutex> guard(durable_->disks_mu);
     if (durable_->disks.empty()) {
@@ -375,8 +374,7 @@ StatusOr<Bytes> PetalServer::Handle(uint32_t method, const Bytes& request, NodeI
 }
 
 StatusOr<Bytes> PetalServer::DoRead(Decoder& dec) {
-  obs::LayerTimer op_timer(obs::Layer::kPetal, m_server_read_us_);
-  obs::SpanScope span(obs::Layer::kPetal, "petal.read", self_);
+  obs::Span span(obs::Layer::kPetal, "petal.read", self_, m_server_read_us_);
   VdiskId vdisk = dec.GetU32();
   uint64_t offset = dec.GetU64();
   uint32_t length = dec.GetU32();
@@ -424,8 +422,7 @@ StatusOr<Bytes> PetalServer::DoRead(Decoder& dec) {
 }
 
 StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
-  obs::LayerTimer op_timer(obs::Layer::kPetal, m_server_write_us_);
-  obs::SpanScope span(obs::Layer::kPetal, "petal.write", self_);
+  obs::Span span(obs::Layer::kPetal, "petal.write", self_, m_server_write_us_);
   VdiskId vdisk = dec.GetU32();
   uint64_t offset = dec.GetU64();
   int64_t lease_expiry_us = dec.GetI64();
@@ -487,8 +484,7 @@ StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
 }
 
 StatusOr<Bytes> PetalServer::DoReplicaWrite(Decoder& dec) {
-  obs::LayerTimer op_timer(obs::Layer::kPetal, m_server_write_us_);
-  obs::SpanScope span(obs::Layer::kPetal, "petal.replica_write", self_);
+  obs::Span span(obs::Layer::kPetal, "petal.replica_write", self_, m_server_write_us_);
   VdiskId vdisk = dec.GetU32();
   uint64_t index = dec.GetU64();
   uint32_t off_in_chunk = dec.GetU32();

@@ -21,10 +21,10 @@ namespace {
 
 using obs::Counter;
 using obs::Layer;
-using obs::LayerTimer;
 using obs::MetricsRegistry;
 using obs::OpMetrics;
 using obs::OpTrace;
+using obs::Span;
 
 TEST(MetricsRegistryTest, FindOrCreateReturnsStablePointers) {
   MetricsRegistry reg;
@@ -149,15 +149,15 @@ TEST(TraceTest, NestedOpTraceIsPassthrough) {
   EXPECT_NE(obs::CurrentTraceId(), first_id);
 }
 
-TEST(TraceTest, LayerTimersAttributeExclusiveTime) {
+TEST(TraceTest, SpansAttributeExclusiveTime) {
   MetricsRegistry reg;
   OpMetrics m = OpMetrics::For(&reg, "op");
   {
     OpTrace trace(&m);
-    LayerTimer lock_timer(Layer::kLock);
+    Span lock_span(Layer::kLock, "test.lock", 0);
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     {
-      LayerTimer petal_timer(Layer::kPetal);
+      Span petal_span(Layer::kPetal, "test.petal", 0);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
@@ -184,15 +184,86 @@ TEST(TraceTest, LayerTimersAttributeExclusiveTime) {
   EXPECT_NEAR(lock_us + petal_us + fs_us, total, total * 0.1 + 50);
 }
 
-TEST(TraceTest, LayerTimerWithoutTraceStillFeedsHistogram) {
+TEST(TraceTest, SpanWithoutTraceStillFeedsHistogram) {
   MetricsRegistry reg;
   Histogram* lat = reg.GetHistogram("lat_us");
   {
-    LayerTimer timer(Layer::kPetal, lat);
+    Span span(Layer::kPetal, "test.petal", 0, lat);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(lat->count(), 1u);
   EXPECT_GE(lat->Mean(), 1000);
+}
+
+// One Span's two clock reads feed all three outputs: the layer time, the
+// histogram sample and the ring event carry the same duration.
+TEST(TraceTest, SpanFeedsAttributionHistogramAndRing) {
+  obs::Recorder* rec = obs::Recorder::Default();
+  rec->Enable(true);
+  rec->Clear();
+  MetricsRegistry reg;
+  OpMetrics m = OpMetrics::For(&reg, "op");
+  Histogram* lat = reg.GetHistogram("lat_us");
+  uint64_t id = 0;
+  {
+    OpTrace trace(&m);
+    id = obs::CurrentTraceId();
+    Span span(Layer::kWal, "test.wal", 3, lat, "lsn", 9);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  rec->Enable(false);
+  constexpr int kWalIdx = static_cast<int>(Layer::kWal);
+  ASSERT_EQ(m.layer_us[kWalIdx]->count(), 1u);
+  ASSERT_EQ(lat->count(), 1u);
+  std::vector<obs::TraceEvent> spans;
+  for (const obs::TraceEvent& e : rec->Snapshot()) {
+    if (std::string(e.name) == "test.wal") {
+      spans.push_back(e);
+    }
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  const obs::TraceEvent& e = spans[0];
+  EXPECT_EQ(e.trace_id, id);
+  EXPECT_EQ(e.node, 3u);
+  EXPECT_EQ(e.layer, Layer::kWal);
+  EXPECT_EQ(e.a0, 9u);
+  EXPECT_GE(e.dur_ns, 2'000'000);
+  // Histogram sums are exact, so both samples equal the event's duration.
+  double dur_us = static_cast<double>(e.dur_ns) / 1e3;
+  EXPECT_DOUBLE_EQ(lat->Sum(), dur_us);
+  EXPECT_DOUBLE_EQ(m.layer_us[kWalIdx]->Sum(), dur_us);
+  rec->Clear();
+}
+
+// RPC handler time belongs to the caller's layer: a kLock scope that makes
+// a Network::Call whose handler sleeps is charged to lock, not net.
+TEST(TraceTest, RpcHandlerTimeStaysInCallersLayer) {
+  class SlowService : public Service {
+   public:
+    StatusOr<Bytes> Handle(uint32_t, const Bytes&, NodeId) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      return Bytes{};
+    }
+  };
+  Network net;  // default links: no latency, unlimited bandwidth
+  NodeId a = net.AddNode("a");
+  NodeId b = net.AddNode("b");
+  SlowService slow;
+  net.RegisterService(b, "slow", &slow);
+  MetricsRegistry reg;
+  OpMetrics m = OpMetrics::For(&reg, "op");
+  {
+    OpTrace trace(&m);
+    Span lock_span(Layer::kLock, "test.lock", a);
+    ASSERT_TRUE(net.Call(a, b, "slow", 0, Bytes(16, 1)).ok());
+  }
+  constexpr int kLockIdx = static_cast<int>(Layer::kLock);
+  constexpr int kNetIdx = static_cast<int>(Layer::kNet);
+  ASSERT_EQ(m.layer_us[kLockIdx]->count(), 1u);
+  EXPECT_GE(m.layer_us[kLockIdx]->Mean(), 5000);
+  // Two messages crossed the (unmodeled) wire; that is all kNet holds.
+  ASSERT_EQ(m.layer_us[kNetIdx]->count(), 1u);
+  EXPECT_LT(m.layer_us[kNetIdx]->Mean(), 1000);
 }
 
 // End-to-end: a traced FS op propagates through the clerk, WAL, Petal
@@ -246,7 +317,6 @@ TEST(TracePropagationTest, FsOpsProduceLayerBreakdowns) {
 using obs::EventKind;
 using obs::Recorder;
 using obs::RecordInstant;
-using obs::SpanScope;
 using obs::TraceEvent;
 
 // The disabled path is one relaxed load: no ring is allocated, no event is
@@ -259,7 +329,7 @@ TEST(RecorderTest, DisabledPathAllocatesNothing) {
   uint64_t events_before = reg->GetCounter("obs.events")->value();
   uint64_t dropped_before = reg->GetCounter("obs.dropped_events")->value();
   for (int i = 0; i < 1000; ++i) {
-    SpanScope span(Layer::kPetal, "disabled.span", 1, "i", i);
+    Span span(Layer::kPetal, "disabled.span", 1, nullptr, "i", i);
     RecordInstant(Layer::kLock, "disabled.instant", 1);
   }
   EXPECT_EQ(rec->ring_count(), 0u);
@@ -305,7 +375,7 @@ TEST(RecorderTest, SlowOpPromotionSurvivesWraparound) {
   {
     OpTrace op(&m, /*node=*/7);
     id = obs::CurrentTraceId();
-    SpanScope inner(Layer::kPetal, "slowop.inner", 7, "chunk", 42);
+    Span inner(Layer::kPetal, "slowop.inner", 7, nullptr, "chunk", 42);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   rec->set_slow_op_us(0);
@@ -351,7 +421,7 @@ TEST(RecorderTest, ConcurrentEmitDuringDump) {
   for (int t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
       for (uint64_t i = 0; i < kPerWriter; ++i) {
-        SpanScope span(Layer::kNet, "race.span", t + 1, "i", i);
+        Span span(Layer::kNet, "race.span", t + 1, nullptr, "i", i);
         RecordInstant(Layer::kNet, "race.instant", t + 1);
       }
       running.fetch_sub(1);
@@ -401,7 +471,7 @@ TEST(RecorderTest, TraceIdPropagatesThroughIoPool) {
     net.SubmitIo([&] {
       submit_seen.store(obs::CurrentTraceId());
       {
-        SpanScope span(Layer::kPetal, "pool.span");
+        Span span(Layer::kPetal, "pool.span", 0);
       }
       // Signal only after the span has been emitted, so the snapshot below
       // is ordered after it.
@@ -428,6 +498,46 @@ TEST(RecorderTest, TraceIdPropagatesThroughIoPool) {
     }
   }
   EXPECT_TRUE(pool_span_tagged);
+  rec->Enable(false);
+  rec->Clear();
+}
+
+// A cold read reaches Petal inside the traced op, so the Petal client's span
+// shows up in the flight recorder under the op's trace id.
+TEST(RecorderTest, ColdReadRecordsPetalClientSpan) {
+  ClusterOptions opts;
+  opts.petal_servers = 3;
+  opts.disks_per_petal = 1;
+  Cluster cluster(opts);  // Start() turns the recorder on
+  ASSERT_TRUE(cluster.Start().ok());
+  auto node = cluster.AddFrangipani();
+  ASSERT_TRUE(node.ok());
+  FrangipaniFs* fs = (*node)->fs();
+  auto ino = fs->Create("/cold");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs->Write(*ino, 0, Bytes(8192, 0xCD)).ok());
+  ASSERT_TRUE(fs->Fsync(*ino).ok());
+  ASSERT_TRUE(fs->DropCaches().ok());
+  Recorder* rec = Recorder::Default();
+  rec->Clear();
+  Bytes buf;
+  ASSERT_TRUE(fs->Read(*ino, 0, 8192, &buf).ok());
+  std::vector<TraceEvent> events = rec->Snapshot();
+  uint64_t read_id = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "read") {
+      read_id = e.trace_id;
+    }
+  }
+  ASSERT_NE(read_id, 0u);
+  bool client_read_tagged = false;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "petal.client_read" && e.trace_id == read_id) {
+      client_read_tagged = true;
+      EXPECT_EQ(e.layer, Layer::kPetal);
+    }
+  }
+  EXPECT_TRUE(client_read_tagged);
   rec->Enable(false);
   rec->Clear();
 }

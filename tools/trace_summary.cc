@@ -96,10 +96,17 @@ int main(int argc, char** argv) {
   if (json.size() < 2 || json.front() != '{' || json.back() != '}' ||
       json.find("\"traceEvents\"") == std::string::npos ||
       json.find("lock.acquire") == std::string::npos ||
-      json.find("wal.flush") == std::string::npos ||
+      json.find("\"wal.flush\"") == std::string::npos ||
       json.find("petal.write") == std::string::npos ||
       json.find("net.tx") == std::string::npos) {
     std::fprintf(stderr, "trace_summary: trace dump missing expected spans\n");
+    return 1;
+  }
+  // Petal client spans: the client-side half of every Petal transfer, on the
+  // file server's machine.
+  if (json.find("\"petal.client_read\"") == std::string::npos ||
+      json.find("\"petal.client_write\"") == std::string::npos) {
+    std::fprintf(stderr, "trace_summary: trace dump missing Petal client spans\n");
     return 1;
   }
   // Byte-range lock instrumentation: the overwrite laps above revoke only
