@@ -4,8 +4,13 @@
 // Fixed log-bucket layout: each power-of-two octave is split into 32 linear
 // sub-buckets (~3% relative resolution). Record is wait-free (one relaxed
 // fetch_add per bucket plus CAS loops for the exact sum/max), so the class
-// is safe to hammer from every IO thread; Mean and Max are exact; Percentile
-// scans the bucket array once and interpolates inside the winning bucket.
+// is safe to hammer from every IO thread. The header fields (count,
+// nonpositive, sum, max) live in per-thread-stripe cells (src/base/striped.h)
+// that readers fold together, so recording threads do not contend on one
+// cache line; the 16 KB bucket array stays shared, since striping it would
+// cost kStripes times the memory per histogram. Mean and Max are exact;
+// Percentile scans the bucket array once and interpolates inside the winning
+// bucket.
 #ifndef SRC_BASE_HISTOGRAM_H_
 #define SRC_BASE_HISTOGRAM_H_
 
@@ -17,6 +22,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "src/base/striped.h"
+
 namespace frangipani {
 
 class Histogram {
@@ -27,38 +34,45 @@ class Histogram {
   static constexpr int kNumBuckets = (kMaxOctave - kMinOctave + 1) * kSubBuckets;
 
   void Record(double v) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    AtomicAdd(sum_, v);
-    AtomicMax(max_, v);
+    Cell& c = cells_[ThisThreadStripe()];
+    c.count.fetch_add(1, std::memory_order_relaxed);
+    AtomicAdd(c.sum, v);
+    AtomicMax(c.max, v);
     if (v > 0 && std::isfinite(v)) {
       buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     } else {
-      nonpositive_.fetch_add(1, std::memory_order_relaxed);
+      c.nonpositive.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  size_t count() const { return count_.load(std::memory_order_relaxed); }
+  size_t count() const { return Fold(&Cell::count); }
 
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
+  double Sum() const {
+    double sum = 0;
+    for (const Cell& c : cells_) {
+      sum += c.sum.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
 
   double Mean() const {
-    uint64_t n = count_.load(std::memory_order_relaxed);
+    uint64_t n = count();
     if (n == 0) {
       return 0;
     }
-    return sum_.load(std::memory_order_relaxed) / static_cast<double>(n);
+    return Sum() / static_cast<double>(n);
   }
 
   // Same index convention as a sorted-sample lookup: the value of the
   // floor(p * (count - 1))-th sample, interpolated within its bucket.
   double Percentile(double p) const {
-    uint64_t n = count_.load(std::memory_order_relaxed);
+    uint64_t n = count();
     if (n == 0) {
       return 0;
     }
     p = std::clamp(p, 0.0, 1.0);
     uint64_t idx = static_cast<uint64_t>(p * static_cast<double>(n - 1));
-    uint64_t before = nonpositive_.load(std::memory_order_relaxed);
+    uint64_t before = Fold(&Cell::nonpositive);
     if (idx < before) {
       return 0;
     }
@@ -79,16 +93,23 @@ class Histogram {
   }
 
   double Max() const {
-    return count_.load(std::memory_order_relaxed) == 0
-               ? 0
-               : max_.load(std::memory_order_relaxed);
+    if (count() == 0) {
+      return 0;
+    }
+    double max = std::numeric_limits<double>::lowest();
+    for (const Cell& c : cells_) {
+      max = std::max(max, c.max.load(std::memory_order_relaxed));
+    }
+    return max;
   }
 
   void Reset() {
-    count_.store(0, std::memory_order_relaxed);
-    nonpositive_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(std::numeric_limits<double>::lowest(), std::memory_order_relaxed);
+    for (Cell& c : cells_) {
+      c.count.store(0, std::memory_order_relaxed);
+      c.nonpositive.store(0, std::memory_order_relaxed);
+      c.sum.store(0, std::memory_order_relaxed);
+      c.max.store(std::numeric_limits<double>::lowest(), std::memory_order_relaxed);
+    }
     for (auto& b : buckets_) {
       b.store(0, std::memory_order_relaxed);
     }
@@ -134,10 +155,23 @@ class Histogram {
     }
   }
 
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> nonpositive_{0};  // v <= 0: sorts before bucket 0
-  std::atomic<double> sum_{0};
-  std::atomic<double> max_{std::numeric_limits<double>::lowest()};
+  // One stripe's share of the header, alone on its cache line.
+  struct alignas(kCacheLine) Cell {
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> nonpositive{0};  // v <= 0: sorts before bucket 0
+    std::atomic<double> sum{0};
+    std::atomic<double> max{std::numeric_limits<double>::lowest()};
+  };
+
+  uint64_t Fold(std::atomic<uint64_t> Cell::*field) const {
+    uint64_t total = 0;
+    for (const Cell& c : cells_) {
+      total += (c.*field).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  std::array<Cell, kStripes> cells_{};
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
 };
 

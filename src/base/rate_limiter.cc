@@ -6,15 +6,15 @@
 namespace frangipani {
 
 TimePoint RateLimiter::Acquire(uint64_t bytes) {
-  std::lock_guard<std::mutex> guard(mu_);
-  total_bytes_ += bytes;
-  TimePoint now = std::chrono::steady_clock::now();
-  if (bytes_per_sec_ <= 0) {
-    return now;
+  total_bytes_.Add(bytes);
+  double rate = bytes_per_sec_.load(std::memory_order_relaxed);
+  if (rate <= 0) {
+    return kNoReservation;
   }
-  TimePoint start = std::max(now, next_free_);
+  std::lock_guard<std::mutex> guard(mu_);
+  TimePoint start = std::max(std::chrono::steady_clock::now(), next_free_);
   auto busy = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(static_cast<double>(bytes) / bytes_per_sec_));
+      std::chrono::duration<double>(static_cast<double>(bytes) / rate));
   next_free_ = start + busy;
   return next_free_;
 }
@@ -27,18 +27,11 @@ void RateLimiter::Transfer(uint64_t bytes) {
 }
 
 void RateLimiter::set_rate(double bytes_per_sec) {
-  std::lock_guard<std::mutex> guard(mu_);
-  bytes_per_sec_ = bytes_per_sec;
+  bytes_per_sec_.store(bytes_per_sec, std::memory_order_relaxed);
 }
 
-double RateLimiter::rate() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return bytes_per_sec_;
-}
+double RateLimiter::rate() const { return bytes_per_sec_.load(std::memory_order_relaxed); }
 
-uint64_t RateLimiter::total_bytes() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return total_bytes_;
-}
+uint64_t RateLimiter::total_bytes() const { return total_bytes_.Sum(); }
 
 }  // namespace frangipani

@@ -105,7 +105,7 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
 
   // Write throttling / write-behind: bring dirty data back under control.
   // Candidates are gathered across all shards (oldest first, globally), then
-  // flushed shard by shard.
+  // flushed shard by shard (FlushSet claims each set in address order).
   while (dirty_bytes_.load() > options_.dirty_hiwater_bytes) {
     struct Cand {
       uint64_t lru;
@@ -148,8 +148,7 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
       if (per_shard[s].empty()) {
         continue;
       }
-      std::unique_lock<std::mutex> lk = LockShard(shards_[s]);
-      Status one = FlushShardSetLocked(shards_[s], per_shard[s], lk);
+      Status one = FlushSet(std::move(per_shard[s]));
       if (!one.ok() && st.ok()) {
         st = one;
       }
@@ -223,303 +222,192 @@ bool BlockCache::Cached(uint64_t addr) const {
   return shard.entries.count(addr) > 0;
 }
 
-Status BlockCache::FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                                       std::unique_lock<std::mutex>& lk) {
-  // Wait out any in-flight flushes of these entries, then claim them. The
-  // payload is pinned by shared_ptr, not copied, while the lock is held.
-  struct Job {
-    uint64_t addr;
-    std::shared_ptr<const Bytes> data;
-    uint64_t gen;
-    uint64_t pin_lsn;
+Status BlockCache::WriteRuns(const std::vector<Job>& jobs, int64_t fence) {
+  // Coalesce address-adjacent dirty blocks of one shard region into
+  // contiguous device writes of at most 256 KB (sequential file data flushes
+  // mostly adjacent 4 KB blocks); each run is one transfer that the Petal
+  // client then scatter-gathers across servers. `jobs` is in address order.
+  constexpr size_t kMaxRunBytes = 256 << 10;
+  struct Run {
+    size_t first_job;
+    size_t num_jobs;
   };
-  std::vector<Job> jobs;
-  for (uint64_t addr : addrs) {
-    for (;;) {
-      auto it = shard.entries.find(addr);
-      if (it == shard.entries.end() || !it->second.dirty) {
-        break;
-      }
-      if (it->second.flushing) {
-        shard.cv.wait(lk);
+  std::vector<Run> runs;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (!runs.empty()) {
+      Run& r = runs.back();
+      const Job& prev = jobs[i - 1];
+      const Job& first = jobs[r.first_job];
+      size_t run_bytes = jobs[i].addr + jobs[i].data->size() - first.addr;
+      if (prev.addr + prev.data->size() == jobs[i].addr &&
+          ShardIndex(jobs[i].addr) == ShardIndex(first.addr) && run_bytes <= kMaxRunBytes) {
+        ++r.num_jobs;
         continue;
       }
-      it->second.flushing = true;
-      jobs.push_back({addr, it->second.data, it->second.dirty_gen, it->second.pin_lsn});
-      break;
     }
+    runs.push_back({i, 1});
   }
-  if (jobs.empty()) {
-    return OkStatus();
-  }
-  uint64_t max_pin = 0;
-  for (const Job& j : jobs) {
-    max_pin = std::max(max_pin, j.pin_lsn);
-  }
-  lk.unlock();
-
-  // Write-ahead rule: the log describing these updates reaches Petal first.
-  Status st = OkStatus();
-  if (max_pin > 0 && wal_ != nullptr) {
-    st = wal_->FlushTo(max_pin);
-  }
-  std::vector<Status> results(jobs.size());
-  if (st.ok()) {
-    int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
-    // Coalesce address-adjacent dirty blocks into contiguous device writes
-    // (sequential file data flushes mostly adjacent 4 KB blocks); each run
-    // is one transfer that the Petal client then scatter-gathers across
-    // servers. Runs are written concurrently by the IO pool. A run is at
-    // most 256 KB, i.e. at most one shard region, by construction.
-    std::sort(jobs.begin(), jobs.end(),
-              [](const Job& a, const Job& b) { return a.addr < b.addr; });
-    constexpr size_t kMaxRunBytes = 256 << 10;
-    struct Run {
-      size_t first_job;
-      size_t num_jobs;
-    };
-    std::vector<Run> runs;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (!runs.empty()) {
-        Run& r = runs.back();
-        const Job& prev = jobs[i - 1];
-        size_t run_bytes = jobs[i].addr + jobs[i].data->size() - jobs[r.first_job].addr;
-        if (prev.addr + prev.data->size() == jobs[i].addr && run_bytes <= kMaxRunBytes) {
-          ++r.num_jobs;
-          continue;
-        }
-      }
-      runs.push_back({i, 1});
+  std::vector<Status> run_results(runs.size());
+  auto write = [&](size_t r) {
+    const Run& run = runs[r];
+    if (run.num_jobs == 1) {
+      const Job& j = jobs[run.first_job];
+      run_results[r] = device_->Write(j.addr, *j.data, fence);
+      return;
     }
-    std::vector<Status> run_results(runs.size());
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    size_t done = 0;
-    for (size_t r = 0; r < runs.size(); ++r) {
-      io_pool_->Submit([&, r] {
-        const Run& run = runs[r];
-        if (run.num_jobs == 1) {
-          const Job& j = jobs[run.first_job];
-          run_results[r] = device_->Write(j.addr, *j.data, fence);
-        } else {
-          Bytes merged;
-          size_t total = jobs[run.first_job + run.num_jobs - 1].addr +
-                         jobs[run.first_job + run.num_jobs - 1].data->size() -
-                         jobs[run.first_job].addr;
-          merged.reserve(total);
-          for (size_t k = 0; k < run.num_jobs; ++k) {
-            const Bytes& d = *jobs[run.first_job + k].data;
-            merged.insert(merged.end(), d.begin(), d.end());
-          }
-          run_results[r] = device_->Write(jobs[run.first_job].addr, merged, fence);
-        }
-        std::lock_guard<std::mutex> guard(done_mu);
-        ++done;
-        done_cv.notify_all();
-      });
+    const Job& last = jobs[run.first_job + run.num_jobs - 1];
+    Bytes merged;
+    merged.reserve(last.addr + last.data->size() - jobs[run.first_job].addr);
+    for (size_t k = 0; k < run.num_jobs; ++k) {
+      const Bytes& d = *jobs[run.first_job + k].data;
+      merged.insert(merged.end(), d.begin(), d.end());
     }
+    run_results[r] = device_->Write(jobs[run.first_job].addr, merged, fence);
+  };
+  // Runs 1..n go to the IO pool and run 0 is written on this thread, so a
+  // one-run flush (an unlink's inode block, most revokes) hands nothing to
+  // another thread.
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  size_t pending = runs.size() - 1;
+  for (size_t r = 1; r < runs.size(); ++r) {
+    io_pool_->Submit([&, r] {
+      write(r);
+      std::lock_guard<std::mutex> guard(done_mu);
+      --pending;
+      done_cv.notify_all();
+    });
+  }
+  write(0);
+  if (runs.size() > 1) {
     std::unique_lock<std::mutex> done_lk(done_mu);
-    done_cv.wait(done_lk, [&] { return done == runs.size(); });
-    for (size_t r = 0; r < runs.size(); ++r) {
-      for (size_t k = 0; k < runs[r].num_jobs; ++k) {
-        results[runs[r].first_job + k] = run_results[r];
-      }
-    }
-    for (const Status& r : run_results) {
-      if (!r.ok()) {
-        st = r;
-      }
-    }
+    done_cv.wait(done_lk, [&] { return pending == 0; });
   }
-
-  lk.lock();
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    auto it = shard.entries.find(jobs[i].addr);
-    if (it == shard.entries.end()) {
-      continue;  // discarded while we wrote (lease loss)
-    }
-    it->second.flushing = false;
-    if (st.ok() && results[i].ok() && it->second.dirty_gen == jobs[i].gen) {
-      it->second.dirty = false;
-      it->second.pin_lsn = 0;
-      dirty_bytes_ -= it->second.data->size();
-      uint64_t adv = shard.oldest_clean_seq.load(std::memory_order_relaxed);
-      if (it->second.lru_seq < adv) {
-        shard.oldest_clean_seq.store(it->second.lru_seq, std::memory_order_relaxed);
-      }
-    }
+  for (const Status& st : run_results) {
+    RETURN_IF_ERROR(st);
   }
-  // Dirty data can push the cache past its capacity (dirty entries are not
-  // evictable); reclaim now that some entries are clean again.
-  EvictShardLocked(shard, static_cast<size_t>(&shard - shards_.data()));
-  shard.cv.notify_all();
-  throttle_cv_.notify_all();
-  return st;
+  return OkStatus();
 }
 
-Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* flushed_bytes) {
-  // Phase 1: claim the covered dirty entries of every shard. Nothing is
-  // written until the full set is claimed, so the whole revoke flush turns
-  // into one batch of coalesced write runs issued concurrently rather than
-  // a serial wave of rounds per shard.
-  struct Job {
-    uint64_t addr;
-    std::shared_ptr<const Bytes> data;
-    uint64_t gen;
-    uint64_t pin_lsn;
-  };
-  std::vector<std::vector<Job>> shard_jobs(shards_.size());
+Status BlockCache::FlushSet(std::vector<uint64_t> addrs,
+                            const std::function<bool(const Entry&)>& want,
+                            size_t* flushed_bytes) {
+  // Phase 1: claim every selected dirty entry before writing any, so the
+  // whole set turns into one batch of coalesced write runs issued
+  // concurrently. Claims are taken in ascending address order, and a claim
+  // that finds the entry already being flushed waits for that flush while
+  // keeping the claims taken so far. Every flush path claims in this one
+  // order, so no flusher can wait on an entry whose holder waits on it.
+  std::sort(addrs.begin(), addrs.end());
+  addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+  std::vector<Job> jobs;
   uint64_t max_pin = 0;
-  size_t total_jobs = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    std::unique_lock<std::mutex> lk = LockShard(shard);
-    auto it = shard.by_lock.find(lock);
-    if (it == shard.by_lock.end()) {
-      continue;
-    }
-    std::vector<uint64_t> addrs(it->second.begin(), it->second.end());
+  {
+    Shard* held = nullptr;
+    std::unique_lock<std::mutex> lk;
     for (uint64_t addr : addrs) {
+      Shard& shard = ShardFor(addr);
+      if (&shard != held) {
+        // One shard mutex at a time: address order is not shard order.
+        if (lk.owns_lock()) {
+          lk.unlock();
+        }
+        lk = LockShard(shard);
+        held = &shard;
+      }
       for (;;) {
-        auto eit = shard.entries.find(addr);
-        if (eit == shard.entries.end() || !eit->second.dirty) {
+        auto it = shard.entries.find(addr);
+        if (it == shard.entries.end() || !it->second.dirty || (want && !want(it->second))) {
           break;
         }
-        const Entry& e = eit->second;
-        if (e.range_off >= end || e.range_off + e.data->size() <= start) {
-          break;  // outside the revoked extent: stays dirty and cached
-        }
-        if (e.flushing) {
+        if (it->second.flushing) {
           shard.cv.wait(lk);
           continue;  // re-find: the entry may have changed while we waited
         }
-        eit->second.flushing = true;
-        shard_jobs[s].push_back({addr, e.data, e.dirty_gen, e.pin_lsn});
+        Entry& e = it->second;
+        e.flushing = true;
+        jobs.push_back({addr, e.data, e.dirty_gen, e.pin_lsn});
         max_pin = std::max(max_pin, e.pin_lsn);
-        ++total_jobs;
         break;
       }
     }
   }
-  if (total_jobs == 0) {
+  if (jobs.empty()) {
     if (flushed_bytes != nullptr) {
       *flushed_bytes = 0;
     }
     return OkStatus();
   }
 
-  // Phase 2: one WAL flush for the whole batch (write-ahead rule), then all
-  // coalesced runs of all shards in flight on the IO pool at once.
+  // Phase 2: one WAL flush for the whole batch (write-ahead rule), then the
+  // runs.
   Status st = OkStatus();
   if (max_pin > 0 && wal_ != nullptr) {
     st = wal_->FlushTo(max_pin);
   }
-  std::vector<std::vector<Status>> shard_results(shards_.size());
-  size_t bytes_out = 0;
   if (st.ok()) {
-    int64_t fence = lease_expiry_us_ ? lease_expiry_us_() : 0;
-    constexpr size_t kMaxRunBytes = 256 << 10;
-    struct Run {
-      size_t shard;
-      size_t first_job;
-      size_t num_jobs;
-    };
-    std::vector<Run> runs;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      std::vector<Job>& jobs = shard_jobs[s];
-      shard_results[s].assign(jobs.size(), OkStatus());
-      std::sort(jobs.begin(), jobs.end(),
-                [](const Job& a, const Job& b) { return a.addr < b.addr; });
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        bytes_out += jobs[i].data->size();
-        if (!runs.empty() && runs.back().shard == s) {
-          Run& r = runs.back();
-          const Job& prev = jobs[i - 1];
-          size_t run_bytes = jobs[i].addr + jobs[i].data->size() - jobs[r.first_job].addr;
-          if (prev.addr + prev.data->size() == jobs[i].addr && run_bytes <= kMaxRunBytes) {
-            ++r.num_jobs;
-            continue;
-          }
-        }
-        runs.push_back({s, i, 1});
-      }
-    }
-    std::vector<Status> run_results(runs.size());
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    size_t done = 0;
-    for (size_t r = 0; r < runs.size(); ++r) {
-      io_pool_->Submit([&, r] {
-        const Run& run = runs[r];
-        const std::vector<Job>& jobs = shard_jobs[run.shard];
-        if (run.num_jobs == 1) {
-          const Job& j = jobs[run.first_job];
-          run_results[r] = device_->Write(j.addr, *j.data, fence);
-        } else {
-          Bytes merged;
-          size_t total = jobs[run.first_job + run.num_jobs - 1].addr +
-                         jobs[run.first_job + run.num_jobs - 1].data->size() -
-                         jobs[run.first_job].addr;
-          merged.reserve(total);
-          for (size_t k = 0; k < run.num_jobs; ++k) {
-            const Bytes& d = *jobs[run.first_job + k].data;
-            merged.insert(merged.end(), d.begin(), d.end());
-          }
-          run_results[r] = device_->Write(jobs[run.first_job].addr, merged, fence);
-        }
-        std::lock_guard<std::mutex> guard(done_mu);
-        ++done;
-        done_cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> done_lk(done_mu);
-    done_cv.wait(done_lk, [&] { return done == runs.size(); });
-    for (size_t r = 0; r < runs.size(); ++r) {
-      for (size_t k = 0; k < runs[r].num_jobs; ++k) {
-        shard_results[runs[r].shard][runs[r].first_job + k] = run_results[r];
-      }
-      if (!run_results[r].ok() && st.ok()) {
-        st = run_results[r];
-      }
-    }
-  } else {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shard_results[s].assign(shard_jobs[s].size(), st);
-    }
+    st = WriteRuns(jobs, lease_expiry_us_ ? lease_expiry_us_() : 0);
   }
 
   // Phase 3: release claims, mark clean.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shard_jobs[s].empty()) {
-      continue;
+  size_t bytes_out = 0;
+  Shard* held = nullptr;
+  std::unique_lock<std::mutex> lk;
+  auto finish_shard = [&] {
+    if (held != nullptr) {
+      // Dirty data can push the cache past its capacity (dirty entries are
+      // not evictable); reclaim now that some entries are clean again.
+      EvictShardLocked(*held, static_cast<size_t>(held - shards_.data()));
+      held->cv.notify_all();
+      lk.unlock();
     }
-    Shard& shard = shards_[s];
-    std::unique_lock<std::mutex> lk = LockShard(shard);
-    for (size_t i = 0; i < shard_jobs[s].size(); ++i) {
-      const Job& j = shard_jobs[s][i];
-      auto it = shard.entries.find(j.addr);
-      if (it == shard.entries.end()) {
-        continue;
-      }
-      it->second.flushing = false;
-      if (st.ok() && shard_results[s][i].ok() && it->second.dirty_gen == j.gen) {
-        it->second.dirty = false;
-        it->second.pin_lsn = 0;
-        dirty_bytes_ -= it->second.data->size();
-        uint64_t adv = shard.oldest_clean_seq.load(std::memory_order_relaxed);
-        if (it->second.lru_seq < adv) {
-          shard.oldest_clean_seq.store(it->second.lru_seq, std::memory_order_relaxed);
-        }
+  };
+  for (const Job& j : jobs) {
+    bytes_out += j.data->size();
+    Shard& shard = ShardFor(j.addr);
+    if (&shard != held) {
+      finish_shard();
+      lk = LockShard(shard);
+      held = &shard;
+    }
+    auto it = shard.entries.find(j.addr);
+    if (it == shard.entries.end()) {
+      continue;  // discarded while we wrote (lease loss)
+    }
+    Entry& e = it->second;
+    e.flushing = false;
+    if (st.ok() && e.dirty_gen == j.gen) {
+      e.dirty = false;
+      e.pin_lsn = 0;
+      dirty_bytes_ -= e.data->size();
+      uint64_t adv = shard.oldest_clean_seq.load(std::memory_order_relaxed);
+      if (e.lru_seq < adv) {
+        shard.oldest_clean_seq.store(e.lru_seq, std::memory_order_relaxed);
       }
     }
-    EvictShardLocked(shard, s);
-    shard.cv.notify_all();
   }
+  finish_shard();
   throttle_cv_.notify_all();
   if (flushed_bytes != nullptr) {
     *flushed_bytes = st.ok() ? bytes_out : 0;
   }
   return st;
+}
+
+Status BlockCache::FlushLock(LockId lock, uint64_t start, uint64_t end, size_t* flushed_bytes) {
+  std::vector<uint64_t> addrs;
+  for (Shard& shard : shards_) {
+    std::unique_lock<std::mutex> lk = LockShard(shard);
+    auto it = shard.by_lock.find(lock);
+    if (it != shard.by_lock.end()) {
+      addrs.insert(addrs.end(), it->second.begin(), it->second.end());
+    }
+  }
+  // Outside the revoked extent an entry stays dirty and cached.
+  return FlushSet(
+      std::move(addrs),
+      [&](const Entry& e) { return e.range_off < end && e.range_off + e.data->size() > start; },
+      flushed_bytes);
 }
 
 void BlockCache::InvalidateLock(LockId lock, uint64_t start, uint64_t end) {
@@ -569,35 +457,29 @@ void BlockCache::InvalidateLock(LockId lock, uint64_t start, uint64_t end) {
   throttle_cv_.notify_all();
 }
 
-Status BlockCache::FlushAll() {
-  Status st = OkStatus();
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lk = LockShard(shard);
-    std::vector<uint64_t> addrs;
-    for (const auto& [addr, e] : shard.entries) {
-      if (e.dirty) {
-        addrs.push_back(addr);
-      }
-    }
-    Status one = FlushShardSetLocked(shard, addrs, lk);
-    if (!one.ok() && st.ok()) {
-      st = one;
-    }
-  }
-  return st;
-}
+Status BlockCache::FlushAll() { return FlushEachShard(nullptr); }
 
 Status BlockCache::FlushPinnedUpTo(uint64_t lsn) {
+  return FlushEachShard([lsn](const Entry& e) { return e.pin_lsn != 0 && e.pin_lsn <= lsn; });
+}
+
+Status BlockCache::FlushEachShard(const std::function<bool(const Entry&)>& want) {
   Status st = OkStatus();
   for (Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lk = LockShard(shard);
     std::vector<uint64_t> addrs;
-    for (const auto& [addr, e] : shard.entries) {
-      if (e.dirty && e.pin_lsn != 0 && e.pin_lsn <= lsn) {
-        addrs.push_back(addr);
+    {
+      std::unique_lock<std::mutex> lk = LockShard(shard);
+      for (const auto& [addr, e] : shard.entries) {
+        if (e.dirty) {
+          addrs.push_back(addr);
+        }
       }
     }
-    Status one = FlushShardSetLocked(shard, addrs, lk);
+    // `want` is applied by FlushSet at claim time, under the shard mutex:
+    // between this scan and the claim an entry can be re-dirtied with a
+    // newer, still unflushed pin (the log's reclaim callback must then
+    // skip it, or it would flush the log from inside its own flush).
+    Status one = FlushSet(std::move(addrs), want);
     if (!one.ok() && st.ok()) {
       st = one;
     }

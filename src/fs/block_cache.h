@@ -144,8 +144,8 @@ class BlockCache {
     std::atomic<uint64_t> oldest_clean_seq{~0ull};
   };
 
-  // Shard by 256 KB region so the ≤256 KB coalesced flush runs (see
-  // FlushShardSetLocked) never span shards.
+  // Shard by 256 KB region: a coalesced flush run (see WriteRuns) stays
+  // inside one region, so it never spans shards.
   static constexpr int kShardRegionShift = 18;
   size_t ShardIndex(uint64_t addr) const {
     return (addr >> kShardRegionShift) % shards_.size();
@@ -156,10 +156,28 @@ class BlockCache {
   // Acquires `shard.mu`, recording the wait in fs.cache.shard_wait_us.
   std::unique_lock<std::mutex> LockShard(const Shard& shard) const;
 
-  // Writes the given entries of one shard out (WAL first). Called with
-  // `shard.mu` held via `lk`; drops and re-acquires it around IO.
-  Status FlushShardSetLocked(Shard& shard, const std::vector<uint64_t>& addrs,
-                             std::unique_lock<std::mutex>& lk);
+  // A claimed dirty entry: its payload is pinned by shared_ptr, not copied.
+  struct Job {
+    uint64_t addr;
+    std::shared_ptr<const Bytes> data;
+    uint64_t gen;
+    uint64_t pin_lsn;
+  };
+
+  // Claims the dirty entries among `addrs` (those `want` accepts, if set;
+  // tested under the shard mutex at claim time), in ascending address
+  // order, then writes them out (WAL first) and marks them clean. Takes and
+  // drops the shard mutexes itself.
+  Status FlushSet(std::vector<uint64_t> addrs,
+                  const std::function<bool(const Entry&)>& want = nullptr,
+                  size_t* flushed_bytes = nullptr);
+  // Writes claimed jobs, in address order, as coalesced device runs: run 0
+  // on the calling thread, the rest on the IO pool. Returns the first
+  // failed run's status.
+  Status WriteRuns(const std::vector<Job>& jobs, int64_t fence);
+  // Flushes, one shard at a time, the dirty entries that `want` accepts
+  // (all of them when `want` is empty).
+  Status FlushEachShard(const std::function<bool(const Entry&)>& want);
   // Evicts clean LRU entries from `shard` while the cache as a whole is over
   // capacity. Caller holds `shard.mu`. When another shard advertises a
   // colder clean entry, eviction is deferred to an async global-LRU sweep

@@ -24,52 +24,76 @@ Network::~Network() {
 
 NodeId Network::AddNode(std::string name) {
   std::lock_guard<std::mutex> guard(mu_);
+  size_t n = num_nodes_.load(std::memory_order_relaxed);
+  FGP_CHECK(n < kMaxNodes) << "node table full";
   auto node = std::make_unique<Node>();
   node->name = std::move(name);
-  node->params = defaults_;
+  node->latency_us.store(defaults_.latency.count(), std::memory_order_relaxed);
   node->nic = std::make_unique<RateLimiter>(defaults_.bandwidth_bps);
-  NodeId id = static_cast<NodeId>(nodes_.size() + 1);
+  NodeId id = static_cast<NodeId>(n + 1);
   node->id = id;
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
   node->m_msgs = reg->GetCounter("net.n" + std::to_string(id) + ".msgs");
   node->m_bytes = reg->GetCounter("net.n" + std::to_string(id) + ".bytes");
   obs::Recorder::Default()->SetNodeName(id, node->name);
-  nodes_.push_back(std::move(node));
+  EditServices(*node, [](ServiceMap&) {});
+  nodes_[n] = std::move(node);
+  num_nodes_.store(n + 1, std::memory_order_release);
   return id;
+}
+
+Network::Node* Network::NodeAt(NodeId id) const {
+  if (id < 1 || id > num_nodes_.load(std::memory_order_acquire)) {
+    return nullptr;
+  }
+  return nodes_[id - 1].get();
+}
+
+Network::Node& Network::CheckedNode(NodeId id) const {
+  FGP_CHECK(id >= 1 && id <= num_nodes_.load(std::memory_order_acquire)) << "unknown node " << id;
+  return *nodes_[id - 1];
+}
+
+void Network::EditServices(Node& node, const std::function<void(ServiceMap&)>& edit) {
+  const ServiceMap* old = node.services.load(std::memory_order_relaxed);
+  auto next = std::make_unique<ServiceMap>(old != nullptr ? *old : ServiceMap());
+  edit(*next);
+  node.services.store(next.get(), std::memory_order_release);
+  service_maps_.push_back(std::move(next));
 }
 
 void Network::RegisterService(NodeId node, const std::string& service, Service* svc) {
   std::lock_guard<std::mutex> guard(mu_);
-  FGP_CHECK(node >= 1 && node <= nodes_.size());
-  nodes_[node - 1]->services[service] = {svc, obs::InternString("rpc." + service)};
+  const char* span_name = obs::InternString("rpc." + service);
+  EditServices(CheckedNode(node), [&](ServiceMap& m) { m[service] = {svc, span_name}; });
 }
 
 void Network::UnregisterService(NodeId node, const std::string& service) {
   std::lock_guard<std::mutex> guard(mu_);
-  if (node >= 1 && node <= nodes_.size()) {
-    nodes_[node - 1]->services.erase(service);
+  if (Node* n = NodeAt(node)) {
+    EditServices(*n, [&](ServiceMap& m) { m.erase(service); });
   }
 }
 
 std::string Network::NodeName(NodeId node) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (node < 1 || node > nodes_.size()) {
-    return "<invalid>";
-  }
-  return nodes_[node - 1]->name;
+  Node* n = NodeAt(node);
+  return n != nullptr ? n->name : "<invalid>";
 }
 
-bool Network::Reachable(NodeId from, NodeId to) {
-  // Caller holds mu_.
-  if (from < 1 || from > nodes_.size() || to < 1 || to > nodes_.size()) {
+bool Network::Reachable(const Node* src, const Node* dst) {
+  if (src == nullptr || dst == nullptr) {
     return false;
   }
-  Node& src = *nodes_[from - 1];
-  Node& dst = *nodes_[to - 1];
-  if (!src.up || !dst.up || src.isolated || dst.isolated) {
+  if (!src->up.load(std::memory_order_acquire) || !dst->up.load(std::memory_order_acquire) ||
+      src->isolated.load(std::memory_order_acquire) ||
+      dst->isolated.load(std::memory_order_acquire)) {
     return false;
   }
-  auto key = std::minmax(from, to);
+  if (!faults_.load(std::memory_order_acquire)) {
+    return true;
+  }
+  std::lock_guard<std::mutex> guard(mu_);
+  auto key = std::minmax(src->id, dst->id);
   if (partitions_.count({key.first, key.second}) > 0) {
     return false;
   }
@@ -83,14 +107,20 @@ void Network::Transmit(Node& src, Node& dst, size_t bytes) {
   // The kNet share of every message: wire time, queueing included, recorded
   // on the sending node.
   obs::Span span(obs::Layer::kNet, "net.tx", src.id, nullptr, "bytes", bytes, "dst", dst.id);
-  // A message occupies the sender's and the receiver's link; the completion
-  // time is the later of the two reservations plus propagation latency.
-  TimePoint t1 = src.nic->Acquire(bytes);
-  TimePoint t2 = dst.nic->Acquire(bytes);
-  TimePoint done = std::max(t1, t2) + std::max(src.params.latency, dst.params.latency);
   src.m_msgs->Increment();
   src.m_bytes->Increment(bytes);
+  // A message occupies the sender's and the receiver's link; the completion
+  // time is the later of the two reservations plus propagation latency. A
+  // message between two unlimited, zero-latency links costs no clock read.
+  TimePoint reserved = std::max(src.nic->Acquire(bytes), dst.nic->Acquire(bytes));
+  Duration latency(std::max(src.latency_us.load(std::memory_order_relaxed),
+                            dst.latency_us.load(std::memory_order_relaxed)));
+  if (reserved == RateLimiter::kNoReservation && latency == Duration::zero()) {
+    m_queue_delay_us_->Record(0);
+    return;
+  }
   TimePoint now = std::chrono::steady_clock::now();
+  TimePoint done = std::max(reserved, now) + latency;
   if (done > now) {
     // Queueing + propagation delay actually imposed on this message.
     m_queue_delay_us_->Record(
@@ -104,41 +134,31 @@ void Network::Transmit(Node& src, Node& dst, size_t bytes) {
 
 StatusOr<Bytes> Network::Call(NodeId from, NodeId to, const std::string& service,
                               uint32_t method, const Bytes& request) {
-  Service* svc = nullptr;
-  const char* span_name = nullptr;
-  Node* src = nullptr;
-  Node* dst = nullptr;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!Reachable(from, to)) {
-      return Unavailable("node " + std::to_string(to) + " unreachable from " +
-                         std::to_string(from));
-    }
-    src = nodes_[from - 1].get();
-    dst = nodes_[to - 1].get();
-    auto it = dst->services.find(service);
-    if (it == dst->services.end()) {
-      return Unavailable("service '" + service + "' not registered at node " +
-                         std::to_string(to));
-    }
-    svc = it->second.svc;
-    span_name = it->second.span_name;
+  Node* src = NodeAt(from);
+  Node* dst = NodeAt(to);
+  if (!Reachable(src, dst)) {
+    return Unavailable("node " + std::to_string(to) + " unreachable from " +
+                       std::to_string(from));
   }
+  const ServiceMap& services = *dst->services.load(std::memory_order_acquire);
+  auto it = services.find(service);
+  if (it == services.end()) {
+    return Unavailable("service '" + service + "' not registered at node " +
+                       std::to_string(to));
+  }
+  Service* svc = it->second.svc;
   // Whole-RPC span (request wire + handler + reply wire). Record-only: the
   // wire time is kNet through Transmit's own span, and the handler runs on
   // this thread but its time belongs to whatever layer it is part of.
-  obs::Span rpc_span(obs::kRecordOnly, obs::Layer::kNet, span_name, from, "dst", to, "method",
-                     method);
+  obs::Span rpc_span(obs::kRecordOnly, obs::Layer::kNet, it->second.span_name, from, "dst", to,
+                     "method", method);
   Transmit(*src, *dst, request.size() + kHeaderBytes);
 
   StatusOr<Bytes> response = svc->Handle(method, request, from);
 
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    // The reply can also be lost / the target can die mid-call.
-    if (!Reachable(to, from)) {
-      return Unavailable("reply from node " + std::to_string(to) + " lost");
-    }
+  // The reply can also be lost / the target can die mid-call.
+  if (!Reachable(dst, src)) {
+    return Unavailable("reply from node " + std::to_string(to) + " lost");
   }
   size_t resp_bytes = response.ok() ? response.value().size() : 0;
   Transmit(*dst, *src, resp_bytes + kHeaderBytes);
@@ -162,20 +182,15 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
   obs::Span span(obs::kRecordOnly, obs::Layer::kNet, "net.vector_call", from, "dst", to, "n",
                  subs.size());
 
-  Node* src = nullptr;
-  Node* dst = nullptr;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!Reachable(from, to)) {
-      Status down = Unavailable("node " + std::to_string(to) + " unreachable from " +
-                                std::to_string(from));
-      for (auto& r : results) {
-        r = down;
-      }
-      return results;
+  Node* src = NodeAt(from);
+  Node* dst = NodeAt(to);
+  if (!Reachable(src, dst)) {
+    Status down = Unavailable("node " + std::to_string(to) + " unreachable from " +
+                              std::to_string(from));
+    for (auto& r : results) {
+      r = down;
     }
-    src = nodes_[from - 1].get();
-    dst = nodes_[to - 1].get();
+    return results;
   }
 
   // Marshal every sub-request into one request envelope. The whole batch is
@@ -200,14 +215,9 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
       std::string service = dec.GetString();
       uint32_t method = dec.GetU32();
       Bytes payload = dec.GetBytes();
-      Service* svc = nullptr;
-      {
-        std::lock_guard<std::mutex> guard(mu_);
-        auto it = dst->services.find(service);
-        if (it != dst->services.end()) {
-          svc = it->second.svc;
-        }
-      }
+      const ServiceMap& services = *dst->services.load(std::memory_order_acquire);
+      auto it = services.find(service);
+      Service* svc = it != services.end() ? it->second.svc : nullptr;
       StatusOr<Bytes> sub_result =
           svc != nullptr ? svc->Handle(method, payload, from)
                          : StatusOr<Bytes>(Unavailable("service '" + service +
@@ -224,15 +234,12 @@ std::vector<StatusOr<Bytes>> Network::CallBatch(NodeId from, NodeId to,
     }
   }
 
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (!Reachable(to, from)) {
-      Status lost = Unavailable("reply from node " + std::to_string(to) + " lost");
-      for (auto& r : results) {
-        r = lost;
-      }
-      return results;
+  if (!Reachable(dst, src)) {
+    Status lost = Unavailable("reply from node " + std::to_string(to) + " lost");
+    for (auto& r : results) {
+      r = lost;
     }
+    return results;
   }
   Transmit(*dst, *src, rep.size() + kHeaderBytes + subs.size() * kSubHeaderBytes);
 
@@ -398,17 +405,12 @@ Status Network::ParallelFor(size_t count, uint32_t window,
 }
 
 void Network::SetNodeUp(NodeId node, bool up) {
-  std::lock_guard<std::mutex> guard(mu_);
-  FGP_CHECK(node >= 1 && node <= nodes_.size());
-  nodes_[node - 1]->up = up;
+  CheckedNode(node).up.store(up, std::memory_order_release);
 }
 
 bool Network::IsNodeUp(NodeId node) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (node < 1 || node > nodes_.size()) {
-    return false;
-  }
-  return nodes_[node - 1]->up;
+  Node* n = NodeAt(node);
+  return n != nullptr && n->up.load(std::memory_order_acquire);
 }
 
 void Network::SetPartitioned(NodeId a, NodeId b, bool partitioned) {
@@ -419,32 +421,28 @@ void Network::SetPartitioned(NodeId a, NodeId b, bool partitioned) {
   } else {
     partitions_.erase({key.first, key.second});
   }
+  faults_.store(!partitions_.empty() || drop_probability_ > 0, std::memory_order_release);
 }
 
 void Network::SetIsolated(NodeId node, bool isolated) {
-  std::lock_guard<std::mutex> guard(mu_);
-  FGP_CHECK(node >= 1 && node <= nodes_.size());
-  nodes_[node - 1]->isolated = isolated;
+  CheckedNode(node).isolated.store(isolated, std::memory_order_release);
 }
 
 void Network::SetDropProbability(double p) {
   std::lock_guard<std::mutex> guard(mu_);
   drop_probability_ = p;
+  faults_.store(!partitions_.empty() || drop_probability_ > 0, std::memory_order_release);
 }
 
 void Network::SetLinkParams(NodeId node, LinkParams params) {
-  std::lock_guard<std::mutex> guard(mu_);
-  FGP_CHECK(node >= 1 && node <= nodes_.size());
-  nodes_[node - 1]->params = params;
-  nodes_[node - 1]->nic->set_rate(params.bandwidth_bps);
+  Node& n = CheckedNode(node);
+  n.latency_us.store(params.latency.count(), std::memory_order_relaxed);
+  n.nic->set_rate(params.bandwidth_bps);
 }
 
 uint64_t Network::BytesThrough(NodeId node) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (node < 1 || node > nodes_.size()) {
-    return 0;
-  }
-  return nodes_[node - 1]->nic->total_bytes();
+  Node* n = NodeAt(node);
+  return n != nullptr ? n->nic->total_bytes() : 0;
 }
 
 }  // namespace frangipani

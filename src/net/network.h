@@ -17,9 +17,17 @@
 // Failure injection: node down, pairwise partition, full isolation, random
 // message drops. A failed delivery surfaces as kUnavailable, which callers
 // treat like an RPC timeout.
+//
+// The call path takes no network-wide lock. Nodes live in a fixed table
+// that never reallocates; up/isolated are per-node atomics; each node's
+// services sit in a copy-on-write map behind an atomic pointer, so
+// registration publishes a new map and callers read whichever map is
+// current. Only while a partition or a drop probability is set does a call
+// take `mu_` to consult the partition set and the drop RNG.
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -81,6 +89,9 @@ struct CallSpec {
 
 class Network {
  public:
+  // Capacity of the node table (ids 1..kMaxNodes).
+  static constexpr size_t kMaxNodes = 4096;
+
   explicit Network(LinkParams defaults = {}, int io_threads = 32)
       : defaults_(defaults), io_threads_(io_threads) {}
 
@@ -159,35 +170,55 @@ class Network {
   uint64_t BytesThrough(NodeId node) const;
 
  private:
+  struct Registered {
+    Service* svc;
+    const char* span_name;  // interned "rpc.<service>", resolved once
+  };
+  using ServiceMap = std::map<std::string, Registered, std::less<>>;
+
   struct Node {
     NodeId id = 0;
     std::string name;
-    bool up = true;
-    bool isolated = false;
-    LinkParams params;
+    std::atomic<bool> up{true};
+    std::atomic<bool> isolated{false};
+    std::atomic<int64_t> latency_us{0};  // LinkParams::latency
     std::unique_ptr<RateLimiter> nic;
-    struct Registered {
-      Service* svc;
-      const char* span_name;  // interned "rpc.<service>", resolved once
-    };
-    std::map<std::string, Registered> services;
+    // Current service map; replaced, never mutated, under mu_.
+    std::atomic<const ServiceMap*> services{nullptr};
     obs::Counter* m_msgs = nullptr;   // messages sent by this node
     obs::Counter* m_bytes = nullptr;  // bytes sent by this node
   };
 
-  // Returns false if delivery between the two nodes is impossible right now.
-  bool Reachable(NodeId from, NodeId to);
+  // The node with this id, or null for an id never handed out.
+  Node* NodeAt(NodeId id) const;
+  // The node with this id, which must have been handed out.
+  Node& CheckedNode(NodeId id) const;
+  // Returns false if delivery from `src` to `dst` is impossible right now.
+  bool Reachable(const Node* src, const Node* dst);
   // Models occupancy of both NICs plus propagation; sleeps the caller.
   void Transmit(Node& src, Node& dst, size_t bytes);
+  // Publishes a copy of `node`'s service map with `edit` applied. Caller
+  // holds mu_.
+  void EditServices(Node& node, const std::function<void(ServiceMap&)>& edit);
 
   ThreadPool* IoPool();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;  // writers of the node table and service maps;
+                   // partitions_, drop_probability_, rng_
   LinkParams defaults_;
   int io_threads_;
   std::once_flag io_pool_once_;
   std::unique_ptr<ThreadPool> io_pool_;
-  std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
+  // Slot id - 1 is written once, before num_nodes_ is raised past it.
+  std::unique_ptr<std::unique_ptr<Node>[]> nodes_ =
+      std::make_unique<std::unique_ptr<Node>[]>(kMaxNodes);
+  std::atomic<size_t> num_nodes_{0};
+  // Every service map ever published. A caller may still be reading a
+  // replaced map, so maps are freed only with the network.
+  std::vector<std::unique_ptr<const ServiceMap>> service_maps_;
+  // True while a partition or a drop probability is set: the only times a
+  // call needs mu_.
+  std::atomic<bool> faults_{false};
   std::set<std::pair<NodeId, NodeId>> partitions_;
   double drop_probability_ = 0;
   Rng rng_{0xF00DF00Dull};

@@ -3,7 +3,10 @@
 // Registration (GetCounter etc.) takes a mutex but returns a pointer that is
 // stable for the registry's lifetime, so components look their metrics up
 // once at construction and the recording hot path is a single relaxed atomic
-// op — no lock, no map lookup.
+// op — no lock, no map lookup. Counters and histogram headers are striped
+// per thread (src/base/striped.h): every machine's threads bump the same
+// metrics, and a shared word would bounce its cache line between cores on
+// every op. Readers sum the stripes, so reported values stay exact.
 //
 // Naming convention: dot-separated, lowercase, layer first —
 //   fs.cache.hits, lock.acquire.sticky, petal.read_bytes, net.n3.msgs,
@@ -20,18 +23,19 @@
 #include <vector>
 
 #include "src/base/histogram.h"
+#include "src/base/striped.h"
 
 namespace frangipani {
 namespace obs {
 
 class Counter {
  public:
-  void Increment(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
+  void Increment(uint64_t n = 1) { v_.Add(n); }
+  uint64_t value() const { return v_.Sum(); }
+  void Reset() { v_.Reset(); }
 
  private:
-  std::atomic<uint64_t> v_{0};
+  StripedU64 v_;
 };
 
 class Gauge {

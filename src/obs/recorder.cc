@@ -52,9 +52,14 @@ class EventRing {
     Slot& s = slots_[pos % Recorder::kRingSlots];
     uint64_t seq0 = s.seq.load(std::memory_order_relaxed);
     s.seq.store(seq0 + 1, std::memory_order_relaxed);
-    // Full fence: the odd seq must be visible before any payload store, or a
-    // concurrent reader could pair fresh payload with a stale-stable seq.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // The odd seq must be ordered before every payload store, or a reader
+    // could pair fresh payload with a stale-stable seq. A release fence does
+    // that (Boehm, "Can seqlocks get along with programming language memory
+    // models?", 2012): a reader whose acquire fence follows a payload load
+    // that saw one of these stores then sees the odd seq, or a later one, on
+    // its re-check. On x86 it costs no instruction, where seq_cst is an
+    // mfence.
+    std::atomic_thread_fence(std::memory_order_release);
     s.trace_id.store(e.trace_id, std::memory_order_relaxed);
     s.start_ns.store(e.start_ns, std::memory_order_relaxed);
     s.dur_ns.store(e.dur_ns, std::memory_order_relaxed);

@@ -4,8 +4,10 @@
 //
 // Design:
 //  - Each emitting thread owns one EventRing (fixed 4096 slots, allocated on
-//    first emit). Emit writes only thread-local slots plus two relaxed atomic
-//    bumps, so recording never takes a lock and never blocks another thread.
+//    first emit). Emit writes only thread-local slots plus relaxed bumps of
+//    the obs.events / obs.dropped_events counters, whose per-thread stripes
+//    keep them exact without a cache line shared between emitters, so
+//    recording never takes a lock and never blocks another thread.
 //  - Overwrite-oldest semantics: the ring is circular; once a thread has
 //    emitted kSlots events, every further emit overwrites that thread's
 //    oldest event and increments the `obs.dropped_events` counter. A dump

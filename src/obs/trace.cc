@@ -15,7 +15,22 @@ thread_local TraceState* g_active = nullptr;
 // Set by InheritedTraceScope on pool threads; consulted by CurrentTraceId
 // when no OpTrace is rooted on this thread.
 thread_local uint64_t g_inherited_trace_id = 0;
-std::atomic<uint64_t> g_next_trace_id{1};
+// Trace ids are handed out in per-thread blocks, so starting an op does not
+// write a cache line shared by every machine's threads. Ids stay unique and
+// nonzero; they are not ordered across threads.
+constexpr uint64_t kTraceIdBlock = 1024;
+std::atomic<uint64_t> g_next_trace_id_block{1};
+thread_local uint64_t t_next_trace_id = 0;
+thread_local uint64_t t_trace_id_end = 0;
+
+uint64_t NextTraceId() {
+  if (t_next_trace_id == t_trace_id_end) {
+    t_next_trace_id =
+        g_next_trace_id_block.fetch_add(kTraceIdBlock, std::memory_order_relaxed);
+    t_trace_id_end = t_next_trace_id + kTraceIdBlock;
+  }
+  return t_next_trace_id++;
+}
 
 }  // namespace
 
@@ -78,7 +93,7 @@ OpTrace::OpTrace(const OpMetrics* metrics, uint32_t node) : active_(g_active == 
   if (!active_) {
     return;
   }
-  state_.trace_id = g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
+  state_.trace_id = NextTraceId();
   state_.node = node;
   state_.start_ns = MonotonicNs();
   state_.metrics = metrics;

@@ -1,5 +1,6 @@
 #include "src/petal/phys_disk.h"
 
+#include <algorithm>
 #include <thread>
 
 namespace frangipani {
@@ -40,11 +41,14 @@ void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
                  pos <= last_end_ + (1 << 16);
     last_end_ = pos + bytes;
   }
-  TimePoint deadline = xfer_.Acquire(bytes);
+  // Positioning counts from now, also when the transfer rate is unlimited
+  // (Acquire then returns kNoReservation, which is before now).
+  TimePoint now = std::chrono::steady_clock::now();
+  TimePoint deadline = std::max(xfer_.Acquire(bytes), now);
   if (!sequential) {
     deadline += params_.seek_time;
   }
-  if (deadline > std::chrono::steady_clock::now()) {
+  if (deadline > now) {
     std::this_thread::sleep_until(deadline);
   }
 }

@@ -1,7 +1,15 @@
 // Unit tests for the block cache: coherence hooks, write-behind, WAL
-// pinning, eviction, prefetch epochs, and prefetch coordination.
+// pinning, eviction, prefetch epochs, prefetch coordination, and the flush
+// paths' claim order and inline first run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <thread>
 
 #include "src/fs/block_cache.h"
@@ -10,6 +18,61 @@
 
 namespace frangipani {
 namespace {
+
+// Passes calls through to `inner`, records which thread issued each write,
+// and can hold a write to one address until the test opens the gate.
+class GatedDevice : public BlockDevice {
+ public:
+  explicit GatedDevice(BlockDevice* inner) : inner_(inner) {}
+
+  Status Read(uint64_t offset, uint64_t length, Bytes* out) override {
+    return inner_->Read(offset, length, out);
+  }
+  Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      writer_threads_.push_back(std::this_thread::get_id());
+      if (gated_ && offset == gate_addr_) {
+        held_ = true;
+        cv_.notify_all();
+        cv_.wait(lk, [&] { return !gated_; });
+      }
+    }
+    return inner_->Write(offset, data, lease_expiry_us);
+  }
+  Status Decommit(uint64_t offset, uint64_t length) override {
+    return inner_->Decommit(offset, length);
+  }
+
+  void Gate(uint64_t addr) {
+    std::lock_guard<std::mutex> guard(mu_);
+    gated_ = true;
+    gate_addr_ = addr;
+  }
+  // Blocks until a write to the gated address is being held.
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return held_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> guard(mu_);
+    gated_ = false;
+    cv_.notify_all();
+  }
+  std::vector<std::thread::id> writer_threads() {
+    std::lock_guard<std::mutex> guard(mu_);
+    return writer_threads_;
+  }
+
+ private:
+  BlockDevice* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool gated_ = false;
+  bool held_ = false;
+  uint64_t gate_addr_ = 0;
+  std::vector<std::thread::id> writer_threads_;
+};
 
 class CacheTest : public ::testing::Test {
  protected:
@@ -25,6 +88,14 @@ class CacheTest : public ::testing::Test {
   }
 
   Bytes Block(uint8_t fill, size_t n = 4096) { return Bytes(n, fill); }
+
+  std::unique_ptr<BlockCache> CacheOn(BlockDevice* device) {
+    BlockCacheOptions opts;
+    opts.capacity_bytes = 64 * 1024;
+    opts.dirty_hiwater_bytes = 32 * 1024;
+    opts.io_threads = 2;
+    return std::make_unique<BlockCache>(device, wal_.get(), opts, nullptr);
+  }
 
   LocalDevice device_;
   std::unique_ptr<LogWriter> wal_;
@@ -270,6 +341,173 @@ TEST_F(CacheTest, FlushPinnedUpToSelectsByLsn) {
   EXPECT_EQ(back[0], 1);  // lsn1 block flushed
   ASSERT_TRUE(device_.Read(4096, 4096, &back).ok());
   EXPECT_EQ(back[0], 0);  // lsn2 block still dirty in cache
+}
+
+TEST_F(CacheTest, OneRunFlushWritesOnCallersThread) {
+  GatedDevice gated(&device_);
+  auto cache = CacheOn(&gated);
+  // Two adjacent blocks coalesce into one run: no handoff to the IO pool.
+  ASSERT_TRUE(cache->PutDirty(0, Block(1), 7, 0).ok());
+  ASSERT_TRUE(cache->PutDirty(4096, Block(2), 7, 0).ok());
+  ASSERT_TRUE(cache->FlushLock(7).ok());
+  std::vector<std::thread::id> writers = gated.writer_threads();
+  ASSERT_EQ(writers.size(), 1u);
+  EXPECT_EQ(writers[0], std::this_thread::get_id());
+  Bytes back;
+  ASSERT_TRUE(device_.Read(4096, 4096, &back).ok());
+  EXPECT_EQ(back[0], 2);
+}
+
+TEST_F(CacheTest, MultiRunFlushWritesFirstRunInline) {
+  GatedDevice gated(&device_);
+  auto cache = CacheOn(&gated);
+  // Three separated blocks: three runs, the lowest written on this thread.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(cache->PutDirty(i * 3 * 4096, Block(static_cast<uint8_t>(i + 1)), 7, 0).ok());
+  }
+  ASSERT_TRUE(cache->FlushLock(7).ok());
+  std::vector<std::thread::id> writers = gated.writer_threads();
+  ASSERT_EQ(writers.size(), 3u);
+  EXPECT_EQ(std::count(writers.begin(), writers.end(), std::this_thread::get_id()), 1);
+  for (int i = 0; i < 3; ++i) {
+    Bytes back;
+    ASSERT_TRUE(device_.Read(i * 3 * 4096, 4096, &back).ok());
+    EXPECT_EQ(back[0], i + 1);
+  }
+}
+
+// Three flushers that claim dirty entries in different orders can
+// deadlock: FlushPinnedUpTo holds c on the device; FlushLock claims b and
+// waits for c; FlushAll claims a and waits for b; once c lands, FlushLock
+// waits for a. Addresses are b < c < a, all under one lock in one shard.
+// A hash-map claim order puts a before b for one of the two insertion
+// orders, so both run. With every path claiming in ascending address
+// order, all three must finish.
+void RunThreeFlusherInterleaving(BlockDevice* base, LogWriter* wal, bool insert_a_first) {
+  constexpr uint64_t kBase = 16 << 20;  // clear of the log area
+  constexpr uint64_t b = kBase, c = kBase + 2 * 4096, a = kBase + 4 * 4096;
+  constexpr LockId kLock = 7;
+  GatedDevice gated(base);
+  BlockCacheOptions opts;
+  opts.io_threads = 2;
+  BlockCache cache(&gated, wal, opts, nullptr);
+
+  LogRecord rec;
+  LogBlockUpdate u;
+  u.addr = c;
+  u.kind = BlockKind::kMeta4k;
+  u.version = 1;
+  u.ranges.push_back({0, Bytes(8, 3)});
+  rec.updates.push_back(u);
+  uint64_t lsn = wal->Append(std::move(rec));
+  for (uint64_t addr : insert_a_first ? std::vector<uint64_t>{a, b} : std::vector<uint64_t>{b, a}) {
+    ASSERT_TRUE(cache.PutDirty(addr, Bytes(4096, addr == a ? 1 : 2), kLock, 0).ok());
+  }
+  ASSERT_TRUE(cache.PutDirty(c, Bytes(4096, 3), kLock, lsn).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int finished = 0;
+  std::vector<Status> results(3, OkStatus());
+  auto run = [&](int i, std::function<Status()> fn) {
+    return std::thread([&, i, fn] {
+      Status st = fn();
+      std::lock_guard<std::mutex> guard(mu);
+      results[i] = st;
+      ++finished;
+      cv.notify_all();
+    });
+  };
+  gated.Gate(c);
+  std::vector<std::thread> threads;
+  threads.push_back(run(0, [&] { return cache.FlushPinnedUpTo(lsn); }));
+  gated.WaitHeld();
+  threads.push_back(run(1, [&] { return cache.FlushLock(kLock); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  threads.push_back(run(2, [&] { return cache.FlushAll(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gated.Open();
+
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(10), [&] { return finished == 3; })) {
+      // Watchdog: the flushers are stuck holding the cache, so the process
+      // cannot unwind; report and exit.
+      std::fprintf(stderr, "flushers deadlocked (insert_a_first=%d)\n", insert_a_first);
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (const Status& st : results) {
+    EXPECT_TRUE(st.ok()) << st;
+  }
+  EXPECT_EQ(cache.dirty_bytes(), 0u);
+  for (uint64_t addr : {a, b, c}) {
+    Bytes back;
+    ASSERT_TRUE(base->Read(addr, 4096, &back).ok());
+    EXPECT_EQ(back[0], addr == a ? 1 : addr == b ? 2 : 3) << addr;
+  }
+}
+
+TEST_F(CacheTest, ThreeFlushersDoNotDeadlockInsertingAFirst) {
+  RunThreeFlusherInterleaving(&device_, wal_.get(), /*insert_a_first=*/true);
+}
+
+TEST_F(CacheTest, ThreeFlushersDoNotDeadlockInsertingBFirst) {
+  RunThreeFlusherInterleaving(&device_, wal_.get(), /*insert_a_first=*/false);
+}
+
+// The log's reclaim callback (FlushPinnedUpTo) runs while the log flush
+// it serves is still open, so it must flush only blocks whose records are
+// already on disk. Here it picks blocks a and b (both pinned by a flushed
+// record), then waits for a, which another flusher holds on the device.
+// Meanwhile b is re-dirtied by a newer record that is not yet flushed. b
+// must be skipped: claiming it would flush the log past the reclaim bound
+// from inside the log's own flush.
+TEST_F(CacheTest, ReclaimSkipsBlockRedirtiedPastTheBoundWhileWaiting) {
+  constexpr uint64_t kBase = 16 << 20;  // clear of the log area
+  constexpr uint64_t a = kBase, b = kBase + 2 * 4096;
+  auto record = [](uint64_t addr) {
+    LogRecord rec;
+    LogBlockUpdate u;
+    u.addr = addr;
+    u.kind = BlockKind::kMeta4k;
+    u.version = 1;
+    u.ranges.push_back({0, Bytes(8, 1)});
+    rec.updates.push_back(u);
+    return rec;
+  };
+  GatedDevice gated(&device_);
+  auto cache = CacheOn(&gated);
+  uint64_t bound = wal_->Append(record(a));
+  ASSERT_TRUE(wal_->FlushTo(bound).ok());
+  ASSERT_TRUE(cache->PutDirty(a, Block(1), 7, bound).ok());
+  ASSERT_TRUE(cache->PutDirty(b, Block(2), 8, bound).ok());
+
+  gated.Gate(a);
+  Status holder_st = OkStatus(), reclaim_st = OkStatus();
+  std::thread holder([&] { holder_st = cache->FlushLock(7); });
+  gated.WaitHeld();
+  std::thread reclaim([&] { reclaim_st = cache->FlushPinnedUpTo(bound); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // reclaim waits on a
+  uint64_t newer = wal_->Append(record(b));
+  ASSERT_TRUE(cache->PutDirty(b, Block(3), 8, newer).ok());
+  gated.Open();
+  holder.join();
+  reclaim.join();
+
+  EXPECT_TRUE(holder_st.ok()) << holder_st;
+  EXPECT_TRUE(reclaim_st.ok()) << reclaim_st;
+  EXPECT_LT(wal_->flushed_lsn(), newer);
+  EXPECT_EQ(cache->dirty_bytes(), 4096u);  // b, still dirty
+  Bytes back;
+  ASSERT_TRUE(device_.Read(b, 4096, &back).ok());
+  EXPECT_EQ(back[0], 0);  // b never written
+  ASSERT_TRUE(device_.Read(a, 4096, &back).ok());
+  EXPECT_EQ(back[0], 1);
 }
 
 }  // namespace

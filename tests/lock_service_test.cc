@@ -105,7 +105,7 @@ class LockServiceTest : public ::testing::Test {
     }
   }
 
-  TestClerk* NewClerk() {
+  TestClerk* NewClerk(LockClerkOptions options = {}) {
     clerks_.emplace_back();
     TestClerk* tc = &clerks_.back();
     tc->node = net_.AddNode("clerk" + std::to_string(clerks_.size()));
@@ -127,7 +127,7 @@ class LockServiceTest : public ::testing::Test {
       router = std::make_unique<StaticLockRouter>(server_nodes_);
     }
     tc->clerk = std::make_unique<LockClerk>(&net_, tc->node, std::move(router),
-                                            SystemClock::Get(), std::move(cb));
+                                            SystemClock::Get(), std::move(cb), options);
     tc->StartRenewals();
     return tc;
   }
@@ -415,8 +415,13 @@ class CentralizedLockTest : public LockServiceTest {
 };
 
 TEST_F(CentralizedLockTest, ServerRestartRecoversStateFromClerks) {
-  TestClerk* a = NewClerk();
-  TestClerk* b = NewClerk();
+  // The "crash" below destroys the server object. Grant acks are sent
+  // synchronously here, so no ack handler can still be running on an IO
+  // pool thread, unsynchronized with the destruction.
+  LockClerkOptions sync_acks;
+  sync_acks.async_grant_ack = false;
+  TestClerk* a = NewClerk(sync_acks);
+  TestClerk* b = NewClerk(sync_acks);
   ASSERT_TRUE(a->clerk->Open("fs").ok());
   ASSERT_TRUE(b->clerk->Open("fs").ok());
   ASSERT_TRUE(a->clerk->Acquire(5, LockMode::kExclusive).ok());

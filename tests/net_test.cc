@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/net/network.h"
 
@@ -21,7 +26,7 @@ class EchoService : public Service {
     return reply;
   }
   std::atomic<int> calls{0};
-  NodeId last_from = kInvalidNode;
+  std::atomic<NodeId> last_from{kInvalidNode};
 };
 
 TEST(NetworkTest, BasicCall) {
@@ -33,7 +38,7 @@ TEST(NetworkTest, BasicCall) {
   auto reply = net.Call(a, b, "echo", 7, {1, 2, 3});
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, (Bytes{1, 2, 3, 7}));
-  EXPECT_EQ(echo.last_from, a);
+  EXPECT_EQ(echo.last_from.load(), a);
 }
 
 TEST(NetworkTest, HandlerErrorPropagates) {
@@ -165,6 +170,123 @@ TEST(NetworkTest, ConcurrentCallsSafe) {
   }
   EXPECT_EQ(ok.load(), 400);
   EXPECT_EQ(echo.calls.load(), 400);
+}
+
+TEST(NetworkTest, LatencyOnlyLinkStillDelays) {
+  // Unlimited bandwidth, 20 ms latency on one end: the call skips the NIC
+  // reservation but must still sleep out the propagation delay each way.
+  Network net;
+  NodeId a = net.AddNode("a");
+  NodeId b = net.AddNode("b");
+  EchoService echo;
+  net.RegisterService(b, "echo", &echo);
+  net.SetLinkParams(b, LinkParams{.latency = Duration(20'000)});
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(net.Call(a, b, "echo", 1, {}).ok());
+  double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_GE(elapsed, 0.039);
+  net.SetLinkParams(b, LinkParams{});
+  start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(net.Call(a, b, "echo", 1, {}).ok());
+  elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(elapsed, 0.039);
+}
+
+TEST(NetworkTest, FaultTogglesDuringConcurrentCallsTakeEffect) {
+  // Workers call a -> b nonstop while the main thread steps through fault
+  // settings. `phase` is odd while a setting is changing; a call that saw
+  // the same even phase before and after ran entirely under one setting and
+  // must succeed exactly when that setting is fault-free.
+  Network net;
+  NodeId a = net.AddNode("a");
+  NodeId b = net.AddNode("b");
+  EchoService echo;
+  net.RegisterService(b, "echo", &echo);
+  std::vector<std::function<void()>> settings = {
+      [&] { net.SetPartitioned(a, b, true); }, [&] { net.SetPartitioned(b, a, false); },
+      [&] { net.SetDropProbability(1.0); },    [&] { net.SetDropProbability(0); },
+      [&] { net.SetIsolated(b, true); },       [&] { net.SetIsolated(b, false); },
+      [&] { net.SetNodeUp(b, false); },        [&] { net.SetNodeUp(b, true); },
+  };
+  constexpr int kPhases = 9;  // stable phases 0, 2, ..., 16
+  auto faulty = [](int phase) { return (phase / 2) % 2 == 1; };
+  std::atomic<int> phase{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::atomic<int>> checked(2 * kPhases);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        int before = phase.load(std::memory_order_acquire);
+        bool ok = net.Call(a, b, "echo", 1, {7}).ok();
+        int after = phase.load(std::memory_order_acquire);
+        if (before != after || before % 2 != 0) {
+          continue;
+        }
+        checked[before].fetch_add(1);
+        if (ok == faulty(before)) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  auto wait_for_calls = [&](int ph) {
+    for (int i = 0; i < 2000 && checked[ph].load() < 20; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  wait_for_calls(0);
+  for (size_t i = 0; i < settings.size(); ++i) {
+    phase.fetch_add(1, std::memory_order_acq_rel);
+    settings[i]();
+    phase.fetch_add(1, std::memory_order_acq_rel);
+    wait_for_calls(static_cast<int>(2 * (i + 1)));
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  for (int ph = 0; ph < 2 * kPhases; ph += 2) {
+    EXPECT_GE(checked[ph].load(), 20) << "phase " << ph;
+  }
+}
+
+TEST(NetworkTest, ServiceRegistrationDuringCalls) {
+  // Registration publishes a new service map while calls read the old one.
+  Network net;
+  NodeId a = net.AddNode("a");
+  NodeId b = net.AddNode("b");
+  EchoService echo;
+  net.RegisterService(b, "echo", &echo);
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      while (!stop.load()) {
+        if (!net.Call(a, b, "echo", 1, {}).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::vector<std::unique_ptr<EchoService>> others;
+  for (int i = 0; i < 50; ++i) {
+    others.push_back(std::make_unique<EchoService>());
+    net.RegisterService(b, "svc" + std::to_string(i), others.back().get());
+  }
+  for (int i = 0; i < 50; i += 2) {
+    net.UnregisterService(b, "svc" + std::to_string(i));
+  }
+  stop.store(true);
+  for (auto& w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(net.Call(a, b, "svc1", 1, {}).ok());
+  EXPECT_FALSE(net.Call(a, b, "svc0", 1, {}).ok());
 }
 
 }  // namespace

@@ -65,6 +65,57 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsExact) {
   EXPECT_DOUBLE_EQ(h->Max(), kThreads);
 }
 
+TEST(MetricsRegistryTest, StripedMetricsMatchSerialReference) {
+  // More threads than stripes, so stripes are shared; values include
+  // nonpositive ones. Integer values keep every double sum exact.
+  constexpr int kThreads = 24;
+  constexpr int kPerThread = 5000;
+  auto value = [](int t, int i) {
+    return static_cast<double>((t * 7919 + i * 104729) % 3000 - 100);
+  };
+  auto increment = [](int t, int i) { return static_cast<uint64_t>((t + i) % 5); };
+  MetricsRegistry reg;
+  Counter* c = reg.GetCounter("c");
+  Histogram* h = reg.GetHistogram("h");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        c->Increment(increment(t, i));
+        h->Record(value(t, i));
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  Histogram ref;
+  uint64_t ref_count = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      ref_count += increment(t, i);
+      ref.Record(value(t, i));
+    }
+  }
+  EXPECT_EQ(c->value(), ref_count);
+  EXPECT_EQ(h->count(), ref.count());
+  EXPECT_EQ(h->Sum(), ref.Sum());
+  EXPECT_EQ(h->Max(), ref.Max());
+  EXPECT_EQ(h->Mean(), ref.Mean());
+  for (double p : {0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(h->Percentile(p), ref.Percentile(p)) << "p" << p;
+  }
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    ASSERT_EQ(h->BucketCount(i), ref.BucketCount(i)) << "bucket " << i;
+  }
+  c->Reset();
+  h->Reset();
+  EXPECT_EQ(c->value(), 0u);
+  EXPECT_EQ(h->count(), 0u);
+  EXPECT_EQ(h->Sum(), 0);
+  EXPECT_EQ(h->Max(), 0);
+}
+
 TEST(HistogramTest, QuantileAccuracy) {
   Histogram h;
   for (int i = 1; i <= 10000; ++i) {
