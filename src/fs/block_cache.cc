@@ -104,22 +104,20 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
   }
 
   // Write throttling / write-behind: bring dirty data back under control.
-  // Candidates are gathered across all shards (oldest first, globally), then
-  // flushed shard by shard (FlushSet claims each set in address order).
+  // Candidates are gathered across all shards (oldest first, globally) and
+  // flushed as one wave.
   while (dirty_bytes_.load() > options_.dirty_hiwater_bytes) {
     struct Cand {
       uint64_t lru;
       uint64_t addr;
       size_t size;
-      size_t shard;
     };
     std::vector<Cand> dirty;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = shards_[s];
+    for (Shard& shard : shards_) {
       std::unique_lock<std::mutex> lk = LockShard(shard);
       for (const auto& [a, entry] : shard.entries) {
         if (entry.dirty && !entry.flushing) {
-          dirty.push_back({entry.lru_seq, a, entry.data->size(), s});
+          dirty.push_back({entry.lru_seq, a, entry.data->size()});
         }
       }
     }
@@ -134,26 +132,16 @@ Status BlockCache::PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin
               [](const Cand& a, const Cand& b) { return a.lru < b.lru; });
     size_t target = options_.dirty_hiwater_bytes / 2;
     size_t start_dirty = dirty_bytes_.load();
-    std::vector<std::vector<uint64_t>> per_shard(shards_.size());
+    std::vector<uint64_t> addrs;
     size_t would_free = 0;
     for (const Cand& c : dirty) {
-      per_shard[c.shard].push_back(c.addr);
+      addrs.push_back(c.addr);
       would_free += c.size;
       if (start_dirty - would_free <= target) {
         break;
       }
     }
-    Status st = OkStatus();
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (per_shard[s].empty()) {
-        continue;
-      }
-      Status one = FlushSet(std::move(per_shard[s]));
-      if (!one.ok() && st.ok()) {
-        st = one;
-      }
-    }
-    RETURN_IF_ERROR(st);
+    RETURN_IF_ERROR(FlushSet(std::move(addrs)));
   }
   return OkStatus();
 }
@@ -223,11 +211,11 @@ bool BlockCache::Cached(uint64_t addr) const {
 }
 
 Status BlockCache::WriteRuns(const std::vector<Job>& jobs, int64_t fence) {
-  // Coalesce address-adjacent dirty blocks of one shard region into
-  // contiguous device writes of at most 256 KB (sequential file data flushes
-  // mostly adjacent 4 KB blocks); each run is one transfer that the Petal
-  // client then scatter-gathers across servers. `jobs` is in address order.
-  constexpr size_t kMaxRunBytes = 256 << 10;
+  // Coalesce address-adjacent dirty blocks into contiguous device writes
+  // that never cross a Petal chunk, so each run is one chunk RPC issued on
+  // the thread that writes it. A block that fills a chunk (a 64 KB file
+  // unit) is written from its cached payload with no merge copy. `jobs` is
+  // in address order.
   struct Run {
     size_t first_job;
     size_t num_jobs;
@@ -237,53 +225,88 @@ Status BlockCache::WriteRuns(const std::vector<Job>& jobs, int64_t fence) {
     if (!runs.empty()) {
       Run& r = runs.back();
       const Job& prev = jobs[i - 1];
-      const Job& first = jobs[r.first_job];
-      size_t run_bytes = jobs[i].addr + jobs[i].data->size() - first.addr;
+      uint64_t last_byte = jobs[i].addr + jobs[i].data->size() - 1;
       if (prev.addr + prev.data->size() == jobs[i].addr &&
-          ShardIndex(jobs[i].addr) == ShardIndex(first.addr) && run_bytes <= kMaxRunBytes) {
+          ChunkIndexOf(last_byte) == ChunkIndexOf(jobs[r.first_job].addr)) {
         ++r.num_jobs;
         continue;
       }
     }
     runs.push_back({i, 1});
   }
-  std::vector<Status> run_results(runs.size());
-  auto write = [&](size_t r) {
+  auto write = [&](size_t r) -> Status {
     const Run& run = runs[r];
+    int64_t t0 = obs::MonotonicNs();
+    Status st;
     if (run.num_jobs == 1) {
       const Job& j = jobs[run.first_job];
-      run_results[r] = device_->Write(j.addr, *j.data, fence);
-      return;
+      st = device_->Write(j.addr, *j.data, fence);
+    } else {
+      const Job& last = jobs[run.first_job + run.num_jobs - 1];
+      Bytes merged;
+      merged.reserve(last.addr + last.data->size() - jobs[run.first_job].addr);
+      for (size_t k = 0; k < run.num_jobs; ++k) {
+        const Bytes& d = *jobs[run.first_job + k].data;
+        merged.insert(merged.end(), d.begin(), d.end());
+      }
+      st = device_->Write(jobs[run.first_job].addr, merged, fence);
     }
-    const Job& last = jobs[run.first_job + run.num_jobs - 1];
-    Bytes merged;
-    merged.reserve(last.addr + last.data->size() - jobs[run.first_job].addr);
-    for (size_t k = 0; k < run.num_jobs; ++k) {
-      const Bytes& d = *jobs[run.first_job + k].data;
-      merged.insert(merged.end(), d.begin(), d.end());
-    }
-    run_results[r] = device_->Write(jobs[run.first_job].addr, merged, fence);
+    last_run_ns_.store(obs::MonotonicNs() - t0, std::memory_order_relaxed);
+    return st;
   };
-  // Runs 1..n go to the IO pool and run 0 is written on this thread, so a
-  // one-run flush (an unlink's inode block, most revokes) hands nothing to
-  // another thread.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t pending = runs.size() - 1;
-  for (size_t r = 1; r < runs.size(); ++r) {
-    io_pool_->Submit([&, r] {
-      write(r);
-      std::lock_guard<std::mutex> guard(done_mu);
-      --pending;
-      done_cv.notify_all();
-    });
+
+  if (runs.size() == 1) {
+    return write(0);
   }
-  write(0);
-  if (runs.size() > 1) {
-    std::unique_lock<std::mutex> done_lk(done_mu);
-    done_cv.wait(done_lk, [&] { return pending == 0; });
+  // The caller drains the runs in address order. When runs remain and the
+  // last run written (by any flush of this cache) took at least kSlowRunNs,
+  // up to io_threads pool helpers join it on the same index: against the
+  // modeled disks and links that keeps io_threads + 1 chunk writes in
+  // flight, while a fast device (timing off) leaves the whole flush on this
+  // thread with no handoff.
+  struct Drain {
+    std::atomic<size_t> next{0};
+    size_t count = 0;
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;
+    std::vector<Status> results;
+
+    void Finish(size_t r, Status st) {
+      std::lock_guard<std::mutex> guard(mu);
+      results[r] = std::move(st);
+      if (++done == count) {
+        cv.notify_all();
+      }
+    }
+  };
+  auto d = std::make_shared<Drain>();
+  d->count = runs.size();
+  d->results.resize(runs.size());
+  bool recruited = false;
+  for (size_t r; (r = d->next.fetch_add(1, std::memory_order_relaxed)) < d->count;) {
+    if (!recruited && r + 1 < d->count &&
+        last_run_ns_.load(std::memory_order_relaxed) >= kSlowRunNs) {
+      recruited = true;
+      // `write` and the vectors it reads are used only for an index below
+      // `count`, and this call returns only once all of those runs are done;
+      // a helper that starts later finds the index spent and touches only `d`.
+      auto helper = [d, &write, trace_id = obs::CurrentTraceId()] {
+        obs::InheritedTraceScope inherit(trace_id);
+        for (size_t i; (i = d->next.fetch_add(1, std::memory_order_relaxed)) < d->count;) {
+          d->Finish(i, write(i));
+        }
+      };
+      size_t helpers = std::min<size_t>(d->count - r - 1, static_cast<size_t>(options_.io_threads));
+      for (size_t h = 0; h < helpers; ++h) {
+        io_pool_->Submit(helper);
+      }
+    }
+    d->Finish(r, write(r));
   }
-  for (const Status& st : run_results) {
+  std::unique_lock<std::mutex> done_lk(d->mu);
+  d->cv.wait(done_lk, [&] { return d->done == d->count; });
+  for (const Status& st : d->results) {
     RETURN_IF_ERROR(st);
   }
   return OkStatus();
@@ -292,16 +315,64 @@ Status BlockCache::WriteRuns(const std::vector<Job>& jobs, int64_t fence) {
 Status BlockCache::FlushSet(std::vector<uint64_t> addrs,
                             const std::function<bool(const Entry&)>& want,
                             size_t* flushed_bytes) {
-  // Phase 1: claim every selected dirty entry before writing any, so the
-  // whole set turns into one batch of coalesced write runs issued
-  // concurrently. Claims are taken in ascending address order, and a claim
-  // that finds the entry already being flushed waits for that flush while
-  // keeping the claims taken so far. Every flush path claims in this one
-  // order, so no flusher can wait on an entry whose holder waits on it.
   std::sort(addrs.begin(), addrs.end());
   addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+  size_t bytes_out = 0;
+  Status st = OkStatus();
+  while (!addrs.empty() && st.ok()) {
+    std::vector<uint64_t> deferred;
+    st = FlushPass(addrs, want, &deferred, &bytes_out);
+    addrs = std::move(deferred);
+  }
+  if (flushed_bytes != nullptr) {
+    *flushed_bytes = st.ok() ? bytes_out : 0;
+  }
+  return st;
+}
+
+Status BlockCache::FlushPass(const std::vector<uint64_t>& addrs,
+                             const std::function<bool(const Entry&)>& want,
+                             std::vector<uint64_t>* deferred, size_t* bytes_out) {
+  // Phase 1: the log first (write-ahead rule), before any claim. The log's
+  // reclaim callback runs inside a log flush and claims entries itself, so
+  // a flusher that waited for the log while holding claims could hang it.
+  // An entry re-dirtied past the flushed bound before it is claimed goes
+  // to `deferred` for another pass.
+  uint64_t durable = ~0ull;
+  if (wal_ != nullptr) {
+    uint64_t max_pin = 0;
+    Shard* held = nullptr;
+    std::unique_lock<std::mutex> lk;
+    for (uint64_t addr : addrs) {
+      Shard& shard = ShardFor(addr);
+      if (&shard != held) {
+        if (lk.owns_lock()) {
+          lk.unlock();
+        }
+        lk = LockShard(shard);
+        held = &shard;
+      }
+      auto it = shard.entries.find(addr);
+      if (it != shard.entries.end() && it->second.dirty && (!want || want(it->second))) {
+        max_pin = std::max(max_pin, it->second.pin_lsn);
+      }
+    }
+    if (lk.owns_lock()) {
+      lk.unlock();
+    }
+    if (max_pin > 0) {
+      RETURN_IF_ERROR(wal_->FlushTo(max_pin));
+    }
+    durable = max_pin;
+  }
+
+  // Phase 2: claim every selected dirty entry before writing any, so the
+  // whole set turns into one wave of write runs. Claims are taken in
+  // ascending address order, and a claim that finds the entry already being
+  // flushed waits for that flush while keeping the claims taken so far.
+  // Every flush path claims in this one order, so no flusher can wait on an
+  // entry whose holder waits on it.
   std::vector<Job> jobs;
-  uint64_t max_pin = 0;
   {
     Shard* held = nullptr;
     std::unique_lock<std::mutex> lk;
@@ -325,32 +396,24 @@ Status BlockCache::FlushSet(std::vector<uint64_t> addrs,
           continue;  // re-find: the entry may have changed while we waited
         }
         Entry& e = it->second;
+        if (e.pin_lsn > durable) {
+          deferred->push_back(addr);
+          break;
+        }
         e.flushing = true;
-        jobs.push_back({addr, e.data, e.dirty_gen, e.pin_lsn});
-        max_pin = std::max(max_pin, e.pin_lsn);
+        jobs.push_back({addr, e.data, e.dirty_gen});
         break;
       }
     }
   }
   if (jobs.empty()) {
-    if (flushed_bytes != nullptr) {
-      *flushed_bytes = 0;
-    }
     return OkStatus();
   }
 
-  // Phase 2: one WAL flush for the whole batch (write-ahead rule), then the
-  // runs.
-  Status st = OkStatus();
-  if (max_pin > 0 && wal_ != nullptr) {
-    st = wal_->FlushTo(max_pin);
-  }
-  if (st.ok()) {
-    st = WriteRuns(jobs, lease_expiry_us_ ? lease_expiry_us_() : 0);
-  }
+  // Phase 3: the runs.
+  Status st = WriteRuns(jobs, lease_expiry_us_ ? lease_expiry_us_() : 0);
 
-  // Phase 3: release claims, mark clean.
-  size_t bytes_out = 0;
+  // Phase 4: release claims, mark clean.
   Shard* held = nullptr;
   std::unique_lock<std::mutex> lk;
   auto finish_shard = [&] {
@@ -363,7 +426,7 @@ Status BlockCache::FlushSet(std::vector<uint64_t> addrs,
     }
   };
   for (const Job& j : jobs) {
-    bytes_out += j.data->size();
+    *bytes_out += j.data->size();
     Shard& shard = ShardFor(j.addr);
     if (&shard != held) {
       finish_shard();
@@ -388,9 +451,6 @@ Status BlockCache::FlushSet(std::vector<uint64_t> addrs,
   }
   finish_shard();
   throttle_cv_.notify_all();
-  if (flushed_bytes != nullptr) {
-    *flushed_bytes = st.ok() ? bytes_out : 0;
-  }
   return st;
 }
 
@@ -457,34 +517,27 @@ void BlockCache::InvalidateLock(LockId lock, uint64_t start, uint64_t end) {
   throttle_cv_.notify_all();
 }
 
-Status BlockCache::FlushAll() { return FlushEachShard(nullptr); }
+Status BlockCache::FlushAll() { return FlushDirty(nullptr); }
 
 Status BlockCache::FlushPinnedUpTo(uint64_t lsn) {
-  return FlushEachShard([lsn](const Entry& e) { return e.pin_lsn != 0 && e.pin_lsn <= lsn; });
+  return FlushDirty([lsn](const Entry& e) { return e.pin_lsn != 0 && e.pin_lsn <= lsn; });
 }
 
-Status BlockCache::FlushEachShard(const std::function<bool(const Entry&)>& want) {
-  Status st = OkStatus();
+Status BlockCache::FlushDirty(const std::function<bool(const Entry&)>& want) {
+  std::vector<uint64_t> addrs;
   for (Shard& shard : shards_) {
-    std::vector<uint64_t> addrs;
-    {
-      std::unique_lock<std::mutex> lk = LockShard(shard);
-      for (const auto& [addr, e] : shard.entries) {
-        if (e.dirty) {
-          addrs.push_back(addr);
-        }
+    std::unique_lock<std::mutex> lk = LockShard(shard);
+    for (const auto& [addr, e] : shard.entries) {
+      if (e.dirty) {
+        addrs.push_back(addr);
       }
     }
-    // `want` is applied by FlushSet at claim time, under the shard mutex:
-    // between this scan and the claim an entry can be re-dirtied with a
-    // newer, still unflushed pin (the log's reclaim callback must then
-    // skip it, or it would flush the log from inside its own flush).
-    Status one = FlushSet(std::move(addrs), want);
-    if (!one.ok() && st.ok()) {
-      st = one;
-    }
   }
-  return st;
+  // `want` is applied by FlushSet at claim time, under the shard mutex:
+  // between this scan and the claim an entry can be re-dirtied with a
+  // newer, still unflushed pin (the log's reclaim callback must then
+  // skip it, or it would flush the log from inside its own flush).
+  return FlushSet(std::move(addrs), want);
 }
 
 void BlockCache::DiscardAll() {

@@ -9,14 +9,16 @@
 //    described their update; the WAL is flushed up to that lsn before the
 //    block itself is written (write-ahead rule, §4).
 //
-// Write-behind: dirty data above a high-water mark is flushed by a pool of
-// IO threads, which is what pipelines large writes across Petal servers.
+// Write-behind: dirty data above a high-water mark is flushed in one wave
+// of chunk-sized runs, drained by the writing thread plus, when the device
+// is slow, a pool of IO helpers; that is what pipelines large writes across
+// Petal servers.
 // Prefetch inserts are epoch-guarded: an invalidation bumps the lock's epoch
 // so a read-ahead racing with a revoke cannot repopulate stale data.
 //
-// The cache is sharded by 256 KB address region (the flush-run coalescing
-// bound), so concurrent hits on different regions never touch the same
-// mutex and a coalesced flush run always stays within one shard. Block
+// The cache is sharded by 256 KB address region, so concurrent hits on
+// different regions never touch the same mutex; a coalesced flush run never
+// crosses a 64 KB Petal chunk, so it stays within one shard too. Block
 // payloads are held behind shared_ptr<const Bytes> — a payload is only ever
 // replaced wholesale, never mutated in place — so the hit path snapshots the
 // pointer under the shard lock and copies outside it, and flush jobs pin
@@ -90,8 +92,8 @@ class BlockCache {
   // [start, end) (WAL first); entries stay cached. Dirty blocks of the same
   // lock outside the range are untouched — a partial revoke writes only the
   // revoked extent. Blocks are claimed across all shards up front, so the
-  // whole revoke flush is one batch of coalesced Petal write runs issued
-  // concurrently, not one round-trip wave per shard. If `flushed_bytes` is
+  // whole revoke flush is one wave of Petal write runs, not one round-trip
+  // wave per shard. If `flushed_bytes` is
   // non-null it receives the number of payload bytes written.
   Status FlushLock(LockId lock, uint64_t start = 0, uint64_t end = kRangeEnd,
                    size_t* flushed_bytes = nullptr);
@@ -100,9 +102,11 @@ class BlockCache {
   // in-flight prefetches anywhere under the lock are conservatively wasted).
   void InvalidateLock(LockId lock, uint64_t start = 0, uint64_t end = kRangeEnd);
 
+  // Flushes every dirty block, in one wave across all shards.
   Status FlushAll();
   // Flushes all metadata blocks pinned by log records with lsn <= bound
-  // (log reclaim callback).
+  // (log reclaim callback; it runs inside the log's flush, so those records
+  // are already on disk and it never waits for the log itself).
   Status FlushPinnedUpTo(uint64_t lsn);
 
   // Drops everything without writing (lease lost: the paper discards the
@@ -119,6 +123,11 @@ class BlockCache {
 
  private:
   static constexpr int kShards = 16;
+  // A run write at least this slow (the last one, on any thread) marks the
+  // device as slow enough to recruit IO-pool helpers into a flush. Any
+  // modeled disk or link access takes milliseconds; an unmodeled one takes
+  // tens of microseconds.
+  static constexpr int64_t kSlowRunNs = 1'000'000;
 
   struct Entry {
     std::shared_ptr<const Bytes> data;
@@ -144,8 +153,9 @@ class BlockCache {
     std::atomic<uint64_t> oldest_clean_seq{~0ull};
   };
 
-  // Shard by 256 KB region: a coalesced flush run (see WriteRuns) stays
-  // inside one region, so it never spans shards.
+  // Shard by 256 KB region, a whole number of Petal chunks: a coalesced
+  // flush run (see WriteRuns) stays inside one chunk, so it never spans
+  // shards.
   static constexpr int kShardRegionShift = 18;
   size_t ShardIndex(uint64_t addr) const {
     return (addr >> kShardRegionShift) % shards_.size();
@@ -161,23 +171,30 @@ class BlockCache {
     uint64_t addr;
     std::shared_ptr<const Bytes> data;
     uint64_t gen;
-    uint64_t pin_lsn;
   };
 
-  // Claims the dirty entries among `addrs` (those `want` accepts, if set;
-  // tested under the shard mutex at claim time), in ascending address
-  // order, then writes them out (WAL first) and marks them clean. Takes and
-  // drops the shard mutexes itself.
+  // Writes out and marks clean the dirty entries among `addrs` (those
+  // `want` accepts, if set; tested under the shard mutex at claim time), as
+  // one wave per FlushPass. Rule: no flusher waits for the log while it
+  // holds claims. Takes and drops the shard mutexes itself.
   Status FlushSet(std::vector<uint64_t> addrs,
                   const std::function<bool(const Entry&)>& want = nullptr,
                   size_t* flushed_bytes = nullptr);
-  // Writes claimed jobs, in address order, as coalesced device runs: run 0
-  // on the calling thread, the rest on the IO pool. Returns the first
-  // failed run's status.
+  // One pass of FlushSet: flushes the log to the highest pin among the
+  // selected entries, claims them in ascending address order, writes them
+  // and releases them. An entry re-dirtied past that pin before its claim
+  // is appended to `deferred` instead. Adds the bytes written to `bytes_out`.
+  Status FlushPass(const std::vector<uint64_t>& addrs,
+                   const std::function<bool(const Entry&)>& want,
+                   std::vector<uint64_t>* deferred, size_t* bytes_out);
+  // Writes claimed jobs, in address order, as runs of adjacent blocks that
+  // never cross a Petal chunk. The calling thread drains the runs, joined
+  // by IO-pool helpers when the device is slow (see kSlowRunNs). Returns the
+  // first failed run's status.
   Status WriteRuns(const std::vector<Job>& jobs, int64_t fence);
-  // Flushes, one shard at a time, the dirty entries that `want` accepts
-  // (all of them when `want` is empty).
-  Status FlushEachShard(const std::function<bool(const Entry&)>& want);
+  // Flushes, in one FlushSet, the dirty entries that `want` accepts (all of
+  // them when `want` is empty).
+  Status FlushDirty(const std::function<bool(const Entry&)>& want);
   // Evicts clean LRU entries from `shard` while the cache as a whole is over
   // capacity. Caller holds `shard.mu`. When another shard advertises a
   // colder clean entry, eviction is deferred to an async global-LRU sweep
@@ -217,6 +234,7 @@ class BlockCache {
   Histogram* m_shard_wait_us_;
 
   std::atomic<bool> sweep_scheduled_{false};
+  std::atomic<int64_t> last_run_ns_{0};  // duration of the last run write
 
   std::unique_ptr<ThreadPool> io_pool_;
 };

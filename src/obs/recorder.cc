@@ -74,8 +74,11 @@ class EventRing {
     return pos >= Recorder::kRingSlots;  // true = an older event was overwritten
   }
 
-  // Any thread. Appends the stable events currently in the ring.
-  void Collect(std::vector<TraceEvent>* out) const {
+  // Any thread. Appends the stable events currently in the ring; with a
+  // nonzero `trace_id`, only the events of that op. A slot whose trace id
+  // does not match is skipped before the rest of it is read (if the slot
+  // was being rewritten, the sequence check would have skipped it anyway).
+  void Collect(std::vector<TraceEvent>* out, uint64_t trace_id = 0) const {
     uint64_t head = head_.load(std::memory_order_acquire);
     uint64_t first = head > Recorder::kRingSlots ? head - Recorder::kRingSlots : 0;
     for (uint64_t pos = first; pos < head; ++pos) {
@@ -86,6 +89,9 @@ class EventRing {
       }
       TraceEvent e;
       e.trace_id = s.trace_id.load(std::memory_order_relaxed);
+      if (trace_id != 0 && e.trace_id != trace_id) {
+        continue;
+      }
       e.start_ns = s.start_ns.load(std::memory_order_relaxed);
       e.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
       e.name = s.name.load(std::memory_order_relaxed);
@@ -214,10 +220,11 @@ void Recorder::PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node,
   slow.node = node;
   slow.start_ns = start_ns;
   slow.total_ns = total_ns;
-  for (const TraceEvent& e : Snapshot()) {
-    if (e.trace_id == trace_id && slow.events.size() < kMaxSlowOpEvents) {
-      slow.events.push_back(e);
-    }
+  // Only this op's events are copied and sorted, not a full snapshot; the
+  // earliest kMaxSlowOpEvents by start time are kept.
+  slow.events = SortedEvents(trace_id);
+  if (slow.events.size() > kMaxSlowOpEvents) {
+    slow.events.resize(kMaxSlowOpEvents);
   }
   std::lock_guard<std::mutex> guard(mu_);
   if (slow_ops_.size() >= kMaxSlowOps) {
@@ -235,7 +242,9 @@ void Recorder::PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node,
   slow_ops_.push_back(std::move(slow));
 }
 
-std::vector<TraceEvent> Recorder::Snapshot() const {
+std::vector<TraceEvent> Recorder::Snapshot() const { return SortedEvents(0); }
+
+std::vector<TraceEvent> Recorder::SortedEvents(uint64_t trace_id) const {
   std::vector<std::shared_ptr<EventRing>> rings;
   {
     std::lock_guard<std::mutex> guard(mu_);
@@ -244,7 +253,7 @@ std::vector<TraceEvent> Recorder::Snapshot() const {
   }
   std::vector<TraceEvent> out;
   for (const auto& ring : rings) {
-    ring->Collect(&out);
+    ring->Collect(&out, trace_id);
   }
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) { return a.start_ns < b.start_ns; });

@@ -95,8 +95,10 @@ class Recorder {
   void Emit(const TraceEvent& event);
 
   // Called by OpTrace when an op finishes above the slow threshold: scans
-  // all rings for events with `trace_id` and copies them into the keep-list.
-  // Cold path (slow ops are rare by definition).
+  // all rings for events with `trace_id` and copies the earliest
+  // kMaxSlowOpEvents of them into the keep-list. Other ops' events are
+  // skipped after one load each, so only this op's events are copied and
+  // sorted.
   void PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node, int64_t start_ns,
                      int64_t total_ns);
 
@@ -135,6 +137,9 @@ class Recorder {
   friend struct RingHolder;
 
   EventRing* RingForThisThread();
+  // Live and retired ring events, sorted by start time: all of them when
+  // `trace_id` is 0, else only those carrying `trace_id`.
+  std::vector<TraceEvent> SortedEvents(uint64_t trace_id) const;
   void RetireRing(const std::shared_ptr<EventRing>& ring);
 
   std::atomic<int64_t> slow_op_us_{0};

@@ -468,18 +468,13 @@ StatusOr<Bytes> PetalServer::DoWrite(Decoder& dec) {
     std::unique_lock<std::mutex> lk = LockShard(shard);
     version = ApplyWriteLocked(shard, {vdisk, index}, off_in_chunk, data, 0);
   }
-  // The modeled disk charge and the synchronous replica forward are
-  // independent once the blob is updated: issue both and join, so the ack
-  // pays max(disk, RTT) instead of their sum. The extra thread is only
-  // worth it when the disk model actually sleeps.
-  if (options_.disk.timing_enabled) {
-    std::thread disk_charge([&] { DiskFor(index).ChargeWrite(offset, data.size()); });
-    ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
-    disk_charge.join();
-  } else {
-    DiskFor(index).ChargeWrite(offset, data.size());
-    ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
-  }
+  // The modeled disk write and the synchronous replica forward are
+  // independent once the blob is updated: book the disk first, forward, then
+  // sleep out what is left of the disk time, so the ack pays max(disk, RTT)
+  // instead of their sum.
+  TimePoint disk_done = DiskFor(index).ReserveWrite(offset, data.size());
+  ForwardToPeer({vdisk, index}, off_in_chunk, data, version);
+  PhysDisk::WaitFor(disk_done);
   return Bytes{};
 }
 

@@ -5,7 +5,7 @@
 
 namespace frangipani {
 
-void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
+TimePoint PhysDisk::Reserve(uint64_t pos, size_t bytes, bool is_write) {
   bool timing_enabled;
   {
     std::lock_guard<std::mutex> guard(mu_);
@@ -17,20 +17,16 @@ void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
     timing_enabled = params_.timing_enabled;
   }
   if (!timing_enabled) {
-    return;
+    return TimePoint{};
   }
   if (is_write && params_.nvram) {
     // NVRAM write-behind: the card absorbs bursts up to its capacity and
     // destages to the platter at the transfer rate (no positioning cost:
     // the controller schedules destage). A writer only waits once it is
     // more than one card's worth ahead of the destage stream.
-    TimePoint deadline = xfer_.Acquire(bytes);
     auto burst = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
         std::chrono::duration<double>(params_.nvram_bytes / params_.transfer_bps));
-    if (deadline - burst > std::chrono::steady_clock::now()) {
-      std::this_thread::sleep_until(deadline - burst);
-    }
-    return;
+    return xfer_.Acquire(bytes) - burst;
   }
   bool sequential;
   {
@@ -43,18 +39,23 @@ void PhysDisk::Charge(uint64_t pos, size_t bytes, bool is_write) {
   }
   // Positioning counts from now, also when the transfer rate is unlimited
   // (Acquire then returns kNoReservation, which is before now).
-  TimePoint now = std::chrono::steady_clock::now();
-  TimePoint deadline = std::max(xfer_.Acquire(bytes), now);
+  TimePoint deadline = std::max(xfer_.Acquire(bytes), std::chrono::steady_clock::now());
   if (!sequential) {
     deadline += params_.seek_time;
   }
-  if (deadline > now) {
-    std::this_thread::sleep_until(deadline);
+  return deadline;
+}
+
+TimePoint PhysDisk::ReserveWrite(uint64_t pos, size_t bytes) { return Reserve(pos, bytes, true); }
+
+void PhysDisk::WaitFor(TimePoint done) {
+  if (done != TimePoint{}) {  // the model is off: no clock read
+    std::this_thread::sleep_until(done);
   }
 }
 
-void PhysDisk::ChargeWrite(uint64_t pos, size_t bytes) { Charge(pos, bytes, true); }
-void PhysDisk::ChargeRead(uint64_t pos, size_t bytes) { Charge(pos, bytes, false); }
+void PhysDisk::ChargeWrite(uint64_t pos, size_t bytes) { WaitFor(Reserve(pos, bytes, true)); }
+void PhysDisk::ChargeRead(uint64_t pos, size_t bytes) { WaitFor(Reserve(pos, bytes, false)); }
 
 void PhysDisk::set_nvram(bool on) {
   std::lock_guard<std::mutex> guard(mu_);

@@ -39,6 +39,14 @@ class PhysDisk {
   void ChargeWrite(uint64_t pos, size_t bytes);
   void ChargeRead(uint64_t pos, size_t bytes);
 
+  // The reservation half of ChargeWrite: books the write's modeled service
+  // and returns when it completes, without waiting (a past time when the
+  // model is off). A caller that overlaps the disk with other work, such as
+  // a replica forward, sleeps until the returned time afterwards.
+  TimePoint ReserveWrite(uint64_t pos, size_t bytes);
+  // Sleeps until a time returned by ReserveWrite.
+  static void WaitFor(TimePoint done);
+
   void set_nvram(bool on);
   bool nvram() const;
 
@@ -51,7 +59,7 @@ class PhysDisk {
   uint64_t bytes_read() const;
 
  private:
-  void Charge(uint64_t pos, size_t bytes, bool is_write);
+  TimePoint Reserve(uint64_t pos, size_t bytes, bool is_write);
 
   PhysDiskParams params_;
   RateLimiter xfer_;

@@ -1,6 +1,6 @@
 // Unit tests for the block cache: coherence hooks, write-behind, WAL
 // pinning, eviction, prefetch epochs, prefetch coordination, and the flush
-// paths' claim order and inline first run.
+// paths' claim order, run shape, caller-drained waves and log ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,26 +19,42 @@
 namespace frangipani {
 namespace {
 
-// Passes calls through to `inner`, records which thread issued each write,
-// and can hold a write to one address until the test opens the gate.
+// Passes calls through to `inner`, records which thread wrote each
+// address, counts writes in flight, can hold a write to one address until
+// the test opens the gate, and can make every write take a fixed time.
 class GatedDevice : public BlockDevice {
  public:
+  struct WriteRecord {
+    uint64_t offset;
+    size_t size;
+    std::thread::id thread;
+  };
+
   explicit GatedDevice(BlockDevice* inner) : inner_(inner) {}
 
   Status Read(uint64_t offset, uint64_t length, Bytes* out) override {
     return inner_->Read(offset, length, out);
   }
   Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
+    std::chrono::milliseconds delay;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      writer_threads_.push_back(std::this_thread::get_id());
+      writes_.push_back({offset, data.size(), std::this_thread::get_id()});
+      max_inflight_ = std::max(max_inflight_, ++inflight_);
+      cv_.notify_all();
       if (gated_ && offset == gate_addr_) {
         held_ = true;
-        cv_.notify_all();
         cv_.wait(lk, [&] { return !gated_; });
       }
+      delay = delay_;
     }
-    return inner_->Write(offset, data, lease_expiry_us);
+    std::this_thread::sleep_for(delay);
+    Status st = inner_->Write(offset, data, lease_expiry_us);
+    std::lock_guard<std::mutex> guard(mu_);
+    --inflight_;
+    done_.push_back(offset);
+    cv_.notify_all();
+    return st;
   }
   Status Decommit(uint64_t offset, uint64_t length) override {
     return inner_->Decommit(offset, length);
@@ -59,9 +75,32 @@ class GatedDevice : public BlockDevice {
     gated_ = false;
     cv_.notify_all();
   }
+  void set_delay(std::chrono::milliseconds delay) {
+    std::lock_guard<std::mutex> guard(mu_);
+    delay_ = delay;
+  }
+  // Waits up to `timeout` for `pred` (called under the device mutex).
+  bool WaitFor(std::chrono::milliseconds timeout, const std::function<bool()>& pred) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, timeout, pred);
+  }
+  // Done and max_inflight read state under the device mutex: call them only
+  // from a WaitFor predicate.
+  bool Done(uint64_t offset) const {
+    return std::find(done_.begin(), done_.end(), offset) != done_.end();
+  }
+  int max_inflight() const { return max_inflight_; }
   std::vector<std::thread::id> writer_threads() {
     std::lock_guard<std::mutex> guard(mu_);
-    return writer_threads_;
+    std::vector<std::thread::id> out;
+    for (const WriteRecord& w : writes_) {
+      out.push_back(w.thread);
+    }
+    return out;
+  }
+  std::vector<WriteRecord> writes() {
+    std::lock_guard<std::mutex> guard(mu_);
+    return writes_;
   }
 
  private:
@@ -71,7 +110,11 @@ class GatedDevice : public BlockDevice {
   bool gated_ = false;
   bool held_ = false;
   uint64_t gate_addr_ = 0;
-  std::vector<std::thread::id> writer_threads_;
+  std::chrono::milliseconds delay_{0};
+  int inflight_ = 0;
+  int max_inflight_ = 0;
+  std::vector<WriteRecord> writes_;
+  std::vector<uint64_t> done_;
 };
 
 class CacheTest : public ::testing::Test {
@@ -358,22 +401,124 @@ TEST_F(CacheTest, OneRunFlushWritesOnCallersThread) {
   EXPECT_EQ(back[0], 2);
 }
 
-TEST_F(CacheTest, MultiRunFlushWritesFirstRunInline) {
+// Makes every write of `gated` take 20 ms, as writes against the modeled
+// disks and links take milliseconds, and flushes one block so that `cache`
+// has seen a slow run write. The delay also makes the writes of one flush
+// overlap in time whenever they are issued concurrently.
+void MakeDeviceSlow(BlockCache* cache, GatedDevice* gated) {
+  constexpr uint64_t kPrimeAddr = 64 << 20;
+  constexpr LockId kPrimeLock = 99;
+  gated->set_delay(std::chrono::milliseconds(20));
+  ASSERT_TRUE(cache->PutDirty(kPrimeAddr, Bytes(4096, 9), kPrimeLock, 0).ok());
+  ASSERT_TRUE(cache->FlushLock(kPrimeLock).ok());
+}
+
+TEST_F(CacheTest, FastMultiRunFlushStaysOnCallersThread) {
   GatedDevice gated(&device_);
   auto cache = CacheOn(&gated);
-  // Three separated blocks: three runs, the lowest written on this thread.
+  // Three separated blocks: three runs, all written here (the device is fast).
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(cache->PutDirty(i * 3 * 4096, Block(static_cast<uint8_t>(i + 1)), 7, 0).ok());
   }
   ASSERT_TRUE(cache->FlushLock(7).ok());
   std::vector<std::thread::id> writers = gated.writer_threads();
   ASSERT_EQ(writers.size(), 3u);
-  EXPECT_EQ(std::count(writers.begin(), writers.end(), std::this_thread::get_id()), 1);
+  EXPECT_EQ(std::count(writers.begin(), writers.end(), std::this_thread::get_id()), 3);
   for (int i = 0; i < 3; ++i) {
     Bytes back;
     ASSERT_TRUE(device_.Read(i * 3 * 4096, 4096, &back).ok());
     EXPECT_EQ(back[0], i + 1);
   }
+}
+
+TEST_F(CacheTest, SlowMultiRunFlushCallerWritesLowestRunPoolWritesRest) {
+  GatedDevice gated(&device_);
+  auto cache = CacheOn(&gated);
+  MakeDeviceSlow(cache.get(), &gated);
+  const std::vector<uint64_t> addrs = {0, 3 * 4096, 6 * 4096};  // three runs
+  for (size_t i = 0; i < addrs.size(); ++i) {
+    ASSERT_TRUE(cache->PutDirty(addrs[i], Block(static_cast<uint8_t>(i + 1)), 7, 0).ok());
+  }
+  gated.Gate(addrs[0]);
+  Status st = OkStatus();
+  std::thread::id caller;
+  std::thread flusher([&] {
+    caller = std::this_thread::get_id();
+    st = cache->FlushLock(7);
+  });
+  gated.WaitHeld();
+  // While the caller's write of the lowest run is held, the pool writes the
+  // other two.
+  bool rest_done = gated.WaitFor(std::chrono::seconds(10),
+                                 [&] { return gated.Done(addrs[1]) && gated.Done(addrs[2]); });
+  EXPECT_TRUE(rest_done) << "the other runs waited for the caller's write";
+  gated.Open();
+  flusher.join();
+  ASSERT_TRUE(st.ok()) << st;
+  for (const GatedDevice::WriteRecord& w : gated.writes()) {
+    if (w.offset == addrs[0]) {
+      EXPECT_EQ(w.thread, caller);
+    } else if (w.offset == addrs[1] || w.offset == addrs[2]) {
+      EXPECT_NE(w.thread, caller) << w.offset;
+    }
+  }
+  for (size_t i = 0; i < addrs.size(); ++i) {
+    Bytes back;
+    ASSERT_TRUE(device_.Read(addrs[i], 4096, &back).ok());
+    EXPECT_EQ(back[0], i + 1);
+  }
+}
+
+TEST_F(CacheTest, FlushAllWritesEveryShardInOneWave) {
+  GatedDevice gated(&device_);
+  auto cache = CacheOn(&gated);
+  MakeDeviceSlow(cache.get(), &gated);
+  // One block in each of four shards (shards are 256 KB address regions).
+  constexpr uint64_t kBase = 16 << 20;
+  constexpr uint64_t kRegion = 256 * 1024;
+  for (uint64_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(cache->PutDirty(kBase + s * kRegion, Block(static_cast<uint8_t>(s + 1)), 7, 0).ok());
+  }
+  gated.Gate(kBase);
+  Status st = OkStatus();
+  std::thread flusher([&] { st = cache->FlushAll(); });
+  gated.WaitHeld();
+  // Shard by shard, the first shard's held write would keep the others from
+  // starting.
+  bool overlapped =
+      gated.WaitFor(std::chrono::seconds(5), [&] { return gated.max_inflight() >= 2; });
+  EXPECT_TRUE(overlapped) << "FlushAll wrote one shard at a time";
+  gated.Open();
+  flusher.join();
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(cache->dirty_bytes(), 0u);
+  for (uint64_t s = 0; s < 4; ++s) {
+    Bytes back;
+    ASSERT_TRUE(device_.Read(kBase + s * kRegion, 4096, &back).ok());
+    EXPECT_EQ(back[0], s + 1);
+  }
+}
+
+TEST_F(CacheTest, FlushRunsStopAtPetalChunkBoundary) {
+  GatedDevice gated(&device_);
+  auto cache = CacheOn(&gated);
+  // Two adjacent 4 KB blocks on either side of a chunk boundary inside one
+  // shard region, and one whole-chunk block right after them.
+  constexpr uint64_t kBoundary = (16 << 20) + kChunkSize;
+  ASSERT_TRUE(cache->PutDirty(kBoundary - 4096, Block(1), 7, 0).ok());
+  ASSERT_TRUE(cache->PutDirty(kBoundary, Block(2), 7, 0).ok());
+  ASSERT_TRUE(cache->PutDirty(kBoundary + kChunkSize, Block(3, kChunkSize), 7, 0).ok());
+  ASSERT_TRUE(cache->FlushLock(7).ok());
+  std::vector<GatedDevice::WriteRecord> writes = gated.writes();
+  std::sort(writes.begin(), writes.end(),
+            [](const auto& a, const auto& b) { return a.offset < b.offset; });
+  ASSERT_EQ(writes.size(), 3u);
+  EXPECT_EQ(writes[0].offset, kBoundary - 4096);
+  EXPECT_EQ(writes[0].size, 4096u);
+  EXPECT_EQ(writes[1].offset, kBoundary);
+  EXPECT_EQ(writes[1].size, 4096u);
+  EXPECT_EQ(writes[2].offset, kBoundary + kChunkSize);
+  EXPECT_EQ(writes[2].size, kChunkSize);
 }
 
 // Three flushers that claim dirty entries in different orders can
@@ -508,6 +653,99 @@ TEST_F(CacheTest, ReclaimSkipsBlockRedirtiedPastTheBoundWhileWaiting) {
   EXPECT_EQ(back[0], 0);  // b never written
   ASSERT_TRUE(device_.Read(a, 4096, &back).ok());
   EXPECT_EQ(back[0], 1);
+}
+
+// The log's reclaim callback runs while its thread owns the log flush. A
+// flusher that claimed a block the reclaim needs and then waited for the log
+// would hang both: reclaim waits for the claimed block, the flusher for the
+// log. Here the log leader L reclaims blocks c and a (pinned by the oldest
+// record) and first waits for c, which G holds on the device. Then F
+// flushes lock 8, whose blocks are a and b, b pinned by the record L is
+// writing. F must not claim a before the log is flushed: once c lands, L
+// claims a, finishes the log write, and F writes b.
+TEST_F(CacheTest, LogReclaimDoesNotWaitOnAFlusherWaitingForTheLog) {
+  constexpr uint64_t kBase = 16 << 20;  // clear of the log area
+  constexpr uint64_t c = kBase, a = kBase + 2 * 4096, b = kBase + 4 * 4096;
+  auto record = [](uint64_t addr) {
+    LogRecord rec;
+    LogBlockUpdate u;
+    u.addr = addr;
+    u.kind = BlockKind::kMeta4k;
+    u.version = 1;
+    u.ranges.push_back({0, Bytes(8, 1)});
+    rec.updates.push_back(u);
+    return rec;
+  };
+  GatedDevice gated(&device_);
+  Geometry g;
+  g.log_bytes = 8 * kLogSectorSize;  // eight one-record sectors
+  BlockCache* cache_ptr = nullptr;
+  LogWriter wal(&device_, g, 0, [&](uint64_t lsn) { return cache_ptr->FlushPinnedUpTo(lsn); },
+                nullptr);
+  BlockCacheOptions opts;
+  opts.io_threads = 2;
+  BlockCache cache(&gated, &wal, opts, nullptr);
+  cache_ptr = &cache;
+
+  // Fill the log: the next flush must reclaim the two oldest records.
+  uint64_t oldest = 0;
+  for (int i = 0; i < 8; ++i) {
+    uint64_t lsn = wal.Append(record(c));
+    ASSERT_TRUE(wal.FlushTo(lsn).ok());
+    oldest = oldest == 0 ? lsn : oldest;
+  }
+  ASSERT_EQ(wal.sectors_written(), 8u);
+  ASSERT_TRUE(cache.PutDirty(c, Block(3), 7, oldest).ok());
+  ASSERT_TRUE(cache.PutDirty(a, Block(1), 8, oldest).ok());
+  uint64_t pending = wal.Append(record(b));
+  ASSERT_TRUE(cache.PutDirty(b, Block(2), 8, pending).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int finished = 0;
+  std::vector<Status> results(3, OkStatus());
+  auto run = [&](int i, std::function<Status()> fn) {
+    return std::thread([&, i, fn] {
+      Status st = fn();
+      std::lock_guard<std::mutex> guard(mu);
+      results[i] = st;
+      ++finished;
+      cv.notify_all();
+    });
+  };
+  gated.Gate(c);
+  std::vector<std::thread> threads;
+  threads.push_back(run(0, [&] { return cache.FlushLock(7); }));  // G
+  gated.WaitHeld();
+  threads.push_back(run(1, [&] { return wal.FlushTo(pending); }));  // L: reclaim waits on c
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  threads.push_back(run(2, [&] { return cache.FlushLock(8); }));  // F
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gated.Open();
+
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(10), [&] { return finished == 3; })) {
+      // Watchdog: the log leader and the flusher wait on each other, so the
+      // process cannot unwind; report and exit.
+      std::fprintf(stderr, "log reclaim and a flusher waiting for the log hung\n");
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (const Status& st : results) {
+    EXPECT_TRUE(st.ok()) << st;
+  }
+  EXPECT_GE(wal.flushed_lsn(), pending);
+  EXPECT_EQ(cache.dirty_bytes(), 0u);
+  for (uint64_t addr : {a, b, c}) {
+    Bytes back;
+    ASSERT_TRUE(device_.Read(addr, 4096, &back).ok());
+    EXPECT_EQ(back[0], addr == a ? 1 : addr == b ? 2 : 3) << addr;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -454,6 +457,82 @@ TEST(RecorderTest, SlowOpPromotionSurvivesWraparound) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("slowop.inner"), std::string::npos);
   EXPECT_FALSE(rec->SlowestOpSummary().empty());
+  rec->Enable(false);
+  rec->Clear();
+}
+
+// Slow-op capture filters each ring by trace id instead of sorting a full
+// snapshot; the kept events must equal what snapshot-then-filter keeps: the
+// earliest kMaxSlowOpEvents of the op's events by start time, across live
+// rings and the ring of a thread that has exited.
+TEST(RecorderTest, SlowOpCaptureMatchesSnapshotThenFilter) {
+  Recorder* rec = Recorder::Default();
+  rec->Enable(true);
+  rec->Clear();
+  constexpr uint64_t kOp = 0xC0FFEE;
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 600;  // 1800 of the op's events > kMaxSlowOpEvents
+  // Thread t emits event i at start time i * kThreads + t (all distinct),
+  // alternating the op's trace id with another op's.
+  auto emit = [&](int t) {
+    for (int i = 0; i < 2 * kPerThread; ++i) {
+      TraceEvent e;
+      e.name = "capture.event";
+      e.trace_id = i % 2 == 0 ? kOp : kOp + 1;
+      e.start_ns = 1000 + static_cast<int64_t>(i) * kThreads + t;
+      e.a0 = static_cast<uint64_t>(t);
+      rec->Emit(e);
+    }
+  };
+  std::thread retired([&] { emit(0); });  // exits: its ring is retired
+  retired.join();
+  std::mutex mu;
+  std::condition_variable cv;
+  int emitted = 0;
+  bool release = false;
+  std::vector<std::thread> live;
+  for (int t = 1; t < kThreads; ++t) {
+    live.emplace_back([&, t] {
+      emit(t);
+      std::unique_lock<std::mutex> lk(mu);
+      ++emitted;
+      cv.notify_all();
+      cv.wait(lk, [&] { return release; });  // keep the ring live
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return emitted == kThreads - 1; });
+  }
+  std::vector<TraceEvent> expected;
+  for (const TraceEvent& e : rec->Snapshot()) {
+    if (e.trace_id == kOp && expected.size() < Recorder::kMaxSlowOpEvents) {
+      expected.push_back(e);
+    }
+  }
+  rec->PromoteSlowOp(kOp, "capture", 1, 0, 1000);
+  {
+    std::lock_guard<std::mutex> guard(mu);
+    release = true;
+    cv.notify_all();
+  }
+  for (std::thread& t : live) {
+    t.join();
+  }
+  std::vector<Recorder::SlowOp> kept = rec->SlowOps();
+  ASSERT_EQ(kept.size(), 1u);
+  ASSERT_EQ(expected.size(), Recorder::kMaxSlowOpEvents);
+  ASSERT_EQ(kept[0].events.size(), expected.size());
+  std::set<uint64_t> tids;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const TraceEvent& got = kept[0].events[i];
+    EXPECT_EQ(got.trace_id, kOp);
+    EXPECT_EQ(got.start_ns, expected[i].start_ns) << i;
+    EXPECT_EQ(got.tid, expected[i].tid) << i;
+    EXPECT_EQ(got.a0, expected[i].a0) << i;
+    tids.insert(got.tid);
+  }
+  EXPECT_EQ(tids.size(), static_cast<size_t>(kThreads));  // every ring contributed
   rec->Enable(false);
   rec->Clear();
 }

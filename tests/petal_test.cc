@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <deque>
 
 #include "src/petal/petal_client.h"
@@ -10,7 +11,8 @@ namespace {
 
 class PetalTest : public ::testing::Test {
  protected:
-  void Build(int n) {
+  // `disk` models each server's disks; the default turns the model off.
+  void Build(int n, PhysDiskParams disk = {.timing_enabled = false}) {
     for (int i = 0; i < n; ++i) {
       nodes_.push_back(net_.AddNode("petal" + std::to_string(i)));
     }
@@ -18,7 +20,7 @@ class PetalTest : public ::testing::Test {
       states_.emplace_back(std::make_unique<PetalServerDurable>());
       PetalServerOptions opts;
       opts.num_disks = 2;
-      opts.disk.timing_enabled = false;
+      opts.disk = disk;
       servers_.push_back(std::make_unique<PetalServer>(&net_, nodes_[i], nodes_, nodes_,
                                                        states_.back().get(), opts,
                                                        SystemClock::Get()));
@@ -90,6 +92,31 @@ TEST_F(PetalTest, WritesAreReplicated) {
     }
   }
   EXPECT_EQ(holders, 2);
+}
+
+// The primary books its disk write before it forwards to the replica and
+// sleeps out the rest afterwards, so with the timing models on a replicated
+// write costs the client's round trip plus max(primary disk, forward), not
+// the sum of the disk and the forward.
+TEST_F(PetalTest, ReplicatedWriteOverlapsDiskWithForward) {
+  constexpr auto kSeek = std::chrono::milliseconds(50);
+  constexpr auto kLatency = std::chrono::milliseconds(5);  // one way
+  Build(2, PhysDiskParams{.seek_time = kSeek, .transfer_bps = 0});
+  for (NodeId node : nodes_) {
+    net_.SetLinkParams(node, LinkParams{.latency = kLatency});
+  }
+  auto vd = client_->CreateVdisk();
+  ASSERT_TRUE(vd.ok()) << vd.status();
+  // Client round trip 2L; forward 2L plus the replica's disk D; primary
+  // disk D in parallel with the forward.
+  auto overlapped = 4 * kLatency + kSeek;  // 70 ms
+  auto summed = 4 * kLatency + 2 * kSeek;  // 120 ms
+  auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client_->Write(*vd, 0, Pattern(4096)).ok());
+  auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(took, overlapped);
+  EXPECT_LT(took, (overlapped + summed) / 2)
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count() << " ms";
 }
 
 TEST_F(PetalTest, FailoverToSecondaryOnPrimaryCrash) {
