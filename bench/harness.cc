@@ -42,7 +42,9 @@ ClusterOptions PaperClusterOptions(bool nvram) {
   options.node.sync_period = Duration(1'000'000);   // update demon (scaled 30 s -> 1 s)
   options.node.log_flush_period = Duration(100'000);
   options.node.fs.io_threads = 8;
-  options.node.fs.readahead_units = 8;
+  // 1 MB of read-ahead: 16 units in flight keep the client's link busy
+  // through each unit's disk phase (EXPERIMENTS.md, "stream").
+  options.node.fs.readahead_units = 16;
   options.node.petal.io_window = 8;  // scatter-gather fan-out per transfer
   return options;
 }

@@ -1,5 +1,6 @@
-// Fixed-size worker pool plus a PeriodicTask helper for demons (sync demon,
-// lease renewal, heartbeats). Both join cleanly on destruction.
+// Worker pool that starts its threads on demand, plus a PeriodicTask helper
+// for demons (sync demon, lease renewal, heartbeats). Both join cleanly on
+// destruction.
 #ifndef SRC_BASE_THREAD_POOL_H_
 #define SRC_BASE_THREAD_POOL_H_
 
@@ -15,9 +16,15 @@
 
 namespace frangipani {
 
+// Runs submitted tasks in FIFO order on at most `max_threads` workers. The
+// constructor starts none: a Submit that finds no idle worker for its task
+// starts one, up to the cap, so a pool only ever holds as many threads as
+// its peak concurrent demand (each worker also carries a flight-recorder
+// ring and a malloc arena). Workers live until the pool is destroyed.
 class ThreadPool {
  public:
-  explicit ThreadPool(int num_threads);
+  explicit ThreadPool(int max_threads);
+  // Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -29,14 +36,19 @@ class ThreadPool {
   // worker is executing).
   void Drain();
 
+  // Workers started so far.
+  int num_threads() const;
+
  private:
   void WorkerLoop();
 
-  std::mutex mu_;
+  const int max_threads_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable drain_cv_;
   std::deque<std::function<void()>> queue_;
-  int active_ = 0;
+  int active_ = 0;  // workers running a task
+  int idle_ = 0;    // workers waiting on cv_
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

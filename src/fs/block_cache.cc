@@ -21,7 +21,8 @@ BlockCache::BlockCache(BlockDevice* device, LogWriter* wal, BlockCacheOptions op
   m_cross_shard_evictions_ = reg->GetCounter("fs.cache.cross_shard_evictions");
   m_shard_wait_us_ = reg->GetHistogram("fs.cache.shard_wait_us");
   reg->GetGauge("fs.cache.shards")->Set(static_cast<int64_t>(shards_.size()));
-  io_pool_ = std::make_unique<ThreadPool>(options_.io_threads);
+  // io_threads for flush helpers plus as many again for read-ahead.
+  io_pool_ = std::make_unique<ThreadPool>(2 * options_.io_threads);
 }
 
 BlockCache::~BlockCache() = default;
@@ -174,6 +175,30 @@ void BlockCache::PutPrefetched(uint64_t addr, Bytes data, LockId lock, uint64_t 
   shard.by_lock[lock].insert(addr);
   EvictShardLocked(shard, ShardIndex(addr));
 }
+
+bool BlockCache::Prefetch(uint64_t addr, uint32_t size, LockId lock, uint64_t range_off) {
+  if (!BeginPrefetch(addr, lock)) {
+    return false;
+  }
+  uint64_t epoch = LockEpoch(lock);
+  io_pool_->Submit([this, addr, size, lock, range_off, epoch,
+                    trace_id = obs::CurrentTraceId()] {
+    obs::InheritedTraceScope inherit(trace_id);
+    Bytes data;
+    if (device_->Read(addr, size, &data).ok()) {
+      if (LockEpoch(lock) != epoch) {
+        // The lock was revoked while we read: wasted work (Figure 8).
+        prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        PutPrefetched(addr, std::move(data), lock, epoch, range_off);
+      }
+    }
+    EndPrefetch(addr, lock);
+  });
+  return true;
+}
+
+void BlockCache::DrainIo() { io_pool_->Drain(); }
 
 bool BlockCache::BeginPrefetch(uint64_t addr, LockId lock) {
   Shard& shard = ShardFor(addr);

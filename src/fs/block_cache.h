@@ -11,8 +11,11 @@
 //
 // Write-behind: dirty data above a high-water mark is flushed in one wave
 // of chunk-sized runs, drained by the writing thread plus, when the device
-// is slow, a pool of IO helpers; that is what pipelines large writes across
-// Petal servers.
+// is slow, helpers from the cache's IO pool; that is what pipelines large
+// writes across Petal servers.
+// Read-ahead runs on the same pool, which holds 2 x io_threads workers
+// (started on demand) while flush helpers stay capped at io_threads. No
+// task on the pool waits for another task queued on it.
 // Prefetch inserts are epoch-guarded: an invalidation bumps the lock's epoch
 // so a read-ahead racing with a revoke cannot repopulate stale data.
 //
@@ -71,6 +74,16 @@ class BlockCache {
   Status PutDirty(uint64_t addr, Bytes data, LockId lock, uint64_t pin_lsn,
                   uint64_t range_off = 0);
 
+  // Read-ahead: reads the block at `addr` (`size` bytes) on the IO pool and
+  // inserts it clean under `lock`, as Read would. Returns false, issuing
+  // nothing, if the block is already cached or in flight. The pool task
+  // inherits the caller's trace id. A block whose lock is invalidated while
+  // it is read is dropped and counted in prefetch_wasted().
+  bool Prefetch(uint64_t addr, uint32_t size, LockId lock, uint64_t range_off);
+  // Waits until every task on the IO pool (read-ahead, flush helpers, LRU
+  // sweeps) has finished.
+  void DrainIo();
+
   // Inserts clean data (prefetch). Dropped if the lock's epoch changed since
   // `epoch` was sampled or the entry is already present.
   void PutPrefetched(uint64_t addr, Bytes data, LockId lock, uint64_t epoch,
@@ -120,6 +133,7 @@ class BlockCache {
   size_t dirty_bytes() const { return dirty_bytes_.load(); }
   uint64_t hits() const { return hits_.load(); }
   uint64_t misses() const { return misses_.load(); }
+  uint64_t prefetch_wasted() const { return prefetch_wasted_.load(); }
 
  private:
   static constexpr int kShards = 16;
@@ -227,6 +241,7 @@ class BlockCache {
   std::atomic<uint64_t> lru_counter_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> prefetch_wasted_{0};
   // Registry aggregates (process-wide, across all fs instances).
   obs::Counter* m_hits_;
   obs::Counter* m_misses_;

@@ -213,7 +213,6 @@ Status FrangipaniFs::Mount() {
   BlockCacheOptions copts;
   copts.io_threads = options_.io_threads;
   cache_ = std::make_unique<BlockCache>(device_, wal_.get(), copts, fence);
-  prefetch_pool_ = std::make_unique<ThreadPool>(std::max(2, options_.io_threads));
 
   {
     std::lock_guard<std::mutex> guard(alloc_mu_);
@@ -231,7 +230,7 @@ Status FrangipaniFs::Unmount() {
   if (!poisoned_ && !options_.read_only) {
     st = SyncAll();
   }
-  prefetch_pool_.reset();
+  cache_->DrainIo();  // in-flight read-ahead finishes before we return
   mounted_ = false;
   return st;
 }
@@ -285,10 +284,10 @@ FsStats FrangipaniFs::Stats() const {
   s.retries = stats_.retries.load(std::memory_order_relaxed);
   s.log_records = stats_.log_records.load(std::memory_order_relaxed);
   s.prefetches = stats_.prefetches.load(std::memory_order_relaxed);
-  s.prefetch_wasted = stats_.prefetch_wasted.load(std::memory_order_relaxed);
   if (cache_) {
     s.cache_hits = cache_->hits();
     s.cache_misses = cache_->misses();
+    s.prefetch_wasted = cache_->prefetch_wasted();
   }
   return s;
 }

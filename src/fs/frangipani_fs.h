@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "src/base/clock.h"
-#include "src/base/thread_pool.h"
 #include "src/fs/alloc.h"
 #include "src/fs/block_cache.h"
 #include "src/fs/device.h"
@@ -47,7 +46,7 @@ inline constexpr uint32_t kParamMagic = 0x46524750;  // "FRGP"
 struct FsOptions {
   bool sync_log = false;            // flush the log before returning from metadata ops
   uint32_t readahead_units = 4;     // prefetch window, in cache units
-  int io_threads = 8;
+  int io_threads = 8;               // flush helpers; the cache's IO pool holds 2x
   bool fence_writes = true;         // stamp Petal writes with the lease expiry
   bool read_only = false;           // snapshot mounts
   uint32_t node_id = 0;             // simulated machine id for flight-recorder spans
@@ -241,7 +240,6 @@ class FrangipaniFs {
 
   std::unique_ptr<LogWriter> wal_;
   std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<ThreadPool> prefetch_pool_;
 
   std::mutex alloc_mu_;
   uint32_t alloc_seg_ = 0;
@@ -258,14 +256,14 @@ class FrangipaniFs {
   // folded into the inode on the next exclusive metadata update.
   std::map<uint64_t, int64_t> mtime_overlay_;
 
-  // Per-instance op counts, lock-free (cache hits/misses live in the cache).
+  // Per-instance op counts, lock-free (cache hits/misses and wasted
+  // prefetches live in the cache).
   // The cross-instance aggregate view lives in the obs metrics registry.
   struct AtomicStats {
     std::atomic<uint64_t> operations{0};
     std::atomic<uint64_t> retries{0};
     std::atomic<uint64_t> log_records{0};
     std::atomic<uint64_t> prefetches{0};
-    std::atomic<uint64_t> prefetch_wasted{0};
   };
   AtomicStats stats_;
 

@@ -278,15 +278,13 @@ StatusOr<size_t> FrangipaniFs::Read(uint64_t ino, uint64_t offset, size_t length
 }
 
 void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read_end) {
-  if (!readahead_on_.load() || prefetch_pool_ == nullptr) {
+  if (!readahead_on_.load()) {
     return;
   }
   bool sequential;
   {
     std::lock_guard<std::mutex> guard(ra_mu_);
     auto it = ra_last_end_.find(ino);
-    uint64_t read_start = read_end;  // only used when found
-    (void)read_start;
     sequential = it != ra_last_end_.end() || read_end <= 256 * 1024;
     if (it != ra_last_end_.end() && read_end < it->second) {
       sequential = false;  // backwards seek
@@ -311,32 +309,11 @@ void FrangipaniFs::MaybePrefetch(uint64_t ino, const Inode& inode, uint64_t read
     if (!locks_->CachedCovers(lock, unit_off, unit_off + ref.unit, LockMode::kShared)) {
       break;
     }
-    uint64_t unit_addr = ref.addr;  // MapOffset returns the unit base
-    uint32_t unit = ref.unit;
-    if (!cache_->BeginPrefetch(unit_addr, lock)) {
-      continue;  // already cached or being prefetched
+    // MapOffset returns the unit base. The prefetch inherits the reading
+    // op's trace id, so the recorder shows it as a child of this read.
+    if (cache_->Prefetch(ref.addr, ref.unit, lock, unit_off)) {
+      stats_.prefetches.fetch_add(1, std::memory_order_relaxed);
     }
-    uint64_t epoch = cache_->LockEpoch(lock);
-    stats_.prefetches.fetch_add(1, std::memory_order_relaxed);
-    // Prefetches inherit the reading op's trace id so the recorder shows
-    // them as children of the read that triggered them.
-    uint64_t trace_id = obs::CurrentTraceId();
-    prefetch_pool_->Submit([this, unit_addr, unit, unit_off, lock, epoch, trace_id] {
-      obs::InheritedTraceScope inherit(trace_id);
-      Bytes data;
-      if (!device_->Read(unit_addr, unit, &data).ok()) {
-        cache_->EndPrefetch(unit_addr, lock);
-        return;
-      }
-      if (cache_->LockEpoch(lock) != epoch) {
-        // The lock was revoked while we prefetched: wasted work (Figure 8).
-        cache_->EndPrefetch(unit_addr, lock);
-        stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      cache_->PutPrefetched(unit_addr, std::move(data), lock, epoch, unit_off);
-      cache_->EndPrefetch(unit_addr, lock);
-    });
   }
 }
 

@@ -309,21 +309,16 @@ std::vector<StatusOr<Bytes>> Network::ParallelCalls(NodeId from,
   return results;
 }
 
-ThreadPool* Network::IoPool() {
-  std::call_once(io_pool_once_, [this] { io_pool_ = std::make_unique<ThreadPool>(io_threads_); });
-  return io_pool_.get();
-}
-
 void Network::SubmitIo(std::function<void()> fn) {
   // Carry the submitting op's trace id onto the worker so the flight
   // recorder parents pool-side spans under the op. Layer attribution is
   // untouched (InheritedTraceScope creates no TraceState).
   uint64_t trace_id = obs::CurrentTraceId();
   if (trace_id == 0) {
-    IoPool()->Submit(std::move(fn));
+    io_pool_->Submit(std::move(fn));
     return;
   }
-  IoPool()->Submit([trace_id, fn = std::move(fn)] {
+  io_pool_->Submit([trace_id, fn = std::move(fn)] {
     obs::InheritedTraceScope inherit(trace_id);
     fn();
   });

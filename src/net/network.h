@@ -93,7 +93,7 @@ class Network {
   static constexpr size_t kMaxNodes = 4096;
 
   explicit Network(LinkParams defaults = {}, int io_threads = 32)
-      : defaults_(defaults), io_threads_(io_threads) {}
+      : defaults_(defaults), io_pool_(std::make_unique<ThreadPool>(io_threads)) {}
 
   // Joins the IO pool before the rest of the members are torn down: a still
   // queued or running SubmitIo/CallAsync task (e.g. a CallAsync whose future
@@ -201,14 +201,10 @@ class Network {
   // holds mu_.
   void EditServices(Node& node, const std::function<void(ServiceMap&)>& edit);
 
-  ThreadPool* IoPool();
-
   std::mutex mu_;  // writers of the node table and service maps;
                    // partitions_, drop_probability_, rng_
   LinkParams defaults_;
-  int io_threads_;
-  std::once_flag io_pool_once_;
-  std::unique_ptr<ThreadPool> io_pool_;
+  std::unique_ptr<ThreadPool> io_pool_;  // starts its threads on demand
   // Slot id - 1 is written once, before num_nodes_ is raised past it.
   std::unique_ptr<std::unique_ptr<Node>[]> nodes_ =
       std::make_unique<std::unique_ptr<Node>[]>(kMaxNodes);

@@ -157,6 +157,7 @@ Recorder::Recorder() {
   m_events_ = reg->GetCounter("obs.events");
   m_dropped_ = reg->GetCounter("obs.dropped_events");
   m_slow_ops_ = reg->GetCounter("obs.slow_ops");
+  m_slow_op_captures_ = reg->GetCounter("obs.slow_op_captures");
 }
 
 Recorder* Recorder::Default() {
@@ -214,6 +215,17 @@ void Recorder::Emit(const TraceEvent& event) {
 void Recorder::PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node,
                              int64_t start_ns, int64_t total_ns) {
   m_slow_ops_->Increment();
+  // Admission first: with the keep-list full of slower ops, this op would
+  // be dropped, so its events are not worth collecting.
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    if (slow_ops_.size() >= kMaxSlowOps &&
+        std::none_of(slow_ops_.begin(), slow_ops_.end(),
+                     [&](const SlowOp& kept) { return kept.total_ns < total_ns; })) {
+      return;
+    }
+  }
+  m_slow_op_captures_->Increment();
   SlowOp slow;
   slow.trace_id = trace_id;
   slow.op = op;
@@ -229,7 +241,8 @@ void Recorder::PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node,
   std::lock_guard<std::mutex> guard(mu_);
   if (slow_ops_.size() >= kMaxSlowOps) {
     // Keep-list full: replace the fastest kept op if this one is slower,
-    // else drop the new one (it still counted in obs.slow_ops).
+    // else drop the new one (it still counted in obs.slow_ops). Re-checked
+    // here: other ops may have been kept since the admission check.
     auto fastest = std::min_element(
         slow_ops_.begin(), slow_ops_.end(),
         [](const SlowOp& a, const SlowOp& b) { return a.total_ns < b.total_ns; });

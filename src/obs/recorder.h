@@ -22,8 +22,11 @@
 //    event carrying that trace id, including spans emitted by IO-pool
 //    threads that inherited the id — is copied into a bounded keep-list
 //    (kMaxSlowOps entries; when full, a new op replaces the fastest kept op
-//    only if it is slower). Kept ops survive later ring overwrites and are
-//    merged into DumpJson; `obs.slow_ops` counts promotions.
+//    only if it is slower; an op that would not be kept is turned away
+//    before its events are collected). Kept ops survive later ring
+//    overwrites and are merged into DumpJson; `obs.slow_ops` counts
+//    promotions and `obs.slow_op_captures` the ones whose events were
+//    collected.
 //  - Exited threads retire their ring instead of freeing it, so a dump still
 //    sees their events; at most kMaxRetiredRings retired rings are kept
 //    (oldest dropped, counted as dropped events).
@@ -94,11 +97,12 @@ class Recorder {
   // recorder is on.
   void Emit(const TraceEvent& event);
 
-  // Called by OpTrace when an op finishes above the slow threshold: scans
+  // Called by OpTrace when an op finishes above the slow threshold. If the
+  // op would be kept (the keep-list has room or holds a faster op), scans
   // all rings for events with `trace_id` and copies the earliest
-  // kMaxSlowOpEvents of them into the keep-list. Other ops' events are
-  // skipped after one load each, so only this op's events are copied and
-  // sorted.
+  // kMaxSlowOpEvents of them into the keep-list; otherwise collects
+  // nothing. Other ops' events are skipped after one load each, so only
+  // this op's events are copied and sorted.
   void PromoteSlowOp(uint64_t trace_id, const char* op, uint32_t node, int64_t start_ns,
                      int64_t total_ns);
 
@@ -157,6 +161,7 @@ class Recorder {
   Counter* m_events_;
   Counter* m_dropped_;
   Counter* m_slow_ops_;
+  Counter* m_slow_op_captures_;
 };
 
 // Emits a zero-duration instant event (grant applied, partial revoke, ...).

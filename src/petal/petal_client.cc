@@ -206,14 +206,11 @@ std::vector<StatusOr<Bytes>> PetalClient::RunFused(const std::vector<CallSpec>& 
 Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes* out) {
   obs::Span span(obs::Layer::kPetal, "petal.client_read", self_, m_read_us_, "bytes", length);
   m_read_bytes_->Increment(length);
-  // Preallocate so concurrent sub-reads land in place; reassembly in order
-  // is then free (each slice is disjoint).
-  out->assign(length, 0);
   if (length == 0) {
+    out->clear();
     return OkStatus();
   }
   std::vector<ChunkSpan> spans = SplitIntoChunks(offset, length);
-  uint8_t* base = out->data();
   auto encode = [&](const ChunkSpan& s) {
     Encoder enc;
     enc.PutU32(vdisk);
@@ -221,6 +218,18 @@ Status PetalClient::Read(VdiskId vdisk, uint64_t offset, uint64_t length, Bytes*
     enc.PutU32(s.n);
     return enc.Take();
   };
+  if (spans.size() == 1) {
+    // One chunk: the reply is the result, with no second buffer to fill.
+    ASSIGN_OR_RETURN(*out, ChunkCall(spans[0].index, PetalServer::kRead, encode(spans[0])));
+    if (out->size() != length) {
+      return IoError("short read from petal");
+    }
+    return OkStatus();
+  }
+  // Preallocate so concurrent sub-reads land in place; reassembly in order
+  // is then free (each slice is disjoint).
+  out->assign(length, 0);
+  uint8_t* base = out->data();
   auto read_one = [&](const ChunkSpan& s) -> Status {
     ASSIGN_OR_RETURN(Bytes piece, ChunkCall(s.index, PetalServer::kRead, encode(s)));
     if (piece.size() != s.n) {

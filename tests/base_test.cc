@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -157,6 +161,86 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   }
   pool.Drain();
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPoolTest, SequentialTasksStartOneThread) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 0);  // the constructor starts none
+  int runs = 0;
+  for (int i = 0; i < 20; ++i) {
+    pool.Submit([&] { ++runs; });
+    pool.Drain();  // the one worker is idle again before the next Submit
+  }
+  EXPECT_EQ(runs, 20);
+  EXPECT_EQ(pool.num_threads(), 1);
+}
+
+TEST(ThreadPoolTest, BlockingTasksStartOneThreadEachUpToTheCap) {
+  constexpr int kCap = 4;
+  for (int k : {1, 3, 4, 7}) {
+    ThreadPool pool(kCap);
+    std::mutex mu;
+    std::condition_variable cv;
+    int running = 0;
+    int finished = 0;
+    bool open = false;
+    for (int i = 0; i < k; ++i) {
+      pool.Submit([&] {
+        std::unique_lock<std::mutex> lk(mu);
+        ++running;
+        cv.notify_all();
+        cv.wait(lk, [&] { return open; });
+        ++finished;
+      });
+    }
+    int expected = std::min(k, kCap);
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10), [&] { return running == expected; }))
+          << "k=" << k;
+    }
+    EXPECT_EQ(pool.num_threads(), expected) << "k=" << k;
+    {
+      std::lock_guard<std::mutex> guard(mu);
+      open = true;
+    }
+    cv.notify_all();
+    pool.Drain();
+    EXPECT_EQ(finished, k);
+    EXPECT_EQ(pool.num_threads(), expected) << "k=" << k;
+  }
+}
+
+TEST(ThreadPoolTest, DrainAndDestructorWaitForQueuedWork) {
+  std::vector<int> order;
+  std::mutex mu;
+  auto task = [&](int i) {
+    return [&, i] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      std::lock_guard<std::mutex> guard(mu);
+      order.push_back(i);
+    };
+  };
+  {
+    ThreadPool pool(1);
+    for (int i = 0; i < 10; ++i) {
+      pool.Submit(task(i));
+    }
+    pool.Drain();
+    std::lock_guard<std::mutex> guard(mu);
+    ASSERT_EQ(order.size(), 10u);
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(order[i], i);  // one worker runs the queue in FIFO order
+    }
+  }
+  order.clear();
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 10; ++i) {
+      pool.Submit(task(i));
+    }
+  }  // the destructor runs every queued task before it joins
+  EXPECT_EQ(order.size(), 10u);
 }
 
 TEST(PeriodicTaskTest, FiresAndStops) {

@@ -1,6 +1,7 @@
 // Unit tests for the block cache: coherence hooks, write-behind, WAL
-// pinning, eviction, prefetch epochs, prefetch coordination, and the flush
-// paths' claim order, run shape, caller-drained waves and log ordering.
+// pinning, eviction, prefetch epochs, prefetch coordination, read-ahead on
+// the shared IO pool, and the flush paths' claim order, run shape,
+// caller-drained waves and log ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "src/fs/block_cache.h"
@@ -20,8 +22,9 @@ namespace frangipani {
 namespace {
 
 // Passes calls through to `inner`, records which thread wrote each
-// address, counts writes in flight, can hold a write to one address until
-// the test opens the gate, and can make every write take a fixed time.
+// address and which addresses were read, counts writes in flight, can hold
+// writes to chosen addresses until the test opens the gate, and can make
+// every write take a fixed time.
 class GatedDevice : public BlockDevice {
  public:
   struct WriteRecord {
@@ -33,6 +36,10 @@ class GatedDevice : public BlockDevice {
   explicit GatedDevice(BlockDevice* inner) : inner_(inner) {}
 
   Status Read(uint64_t offset, uint64_t length, Bytes* out) override {
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      reads_.push_back(offset);
+    }
     return inner_->Read(offset, length, out);
   }
   Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
@@ -42,7 +49,7 @@ class GatedDevice : public BlockDevice {
       writes_.push_back({offset, data.size(), std::this_thread::get_id()});
       max_inflight_ = std::max(max_inflight_, ++inflight_);
       cv_.notify_all();
-      if (gated_ && offset == gate_addr_) {
+      if (gated_ && gate_addrs_.count(offset) > 0) {
         held_ = true;
         cv_.wait(lk, [&] { return !gated_; });
       }
@@ -60,12 +67,13 @@ class GatedDevice : public BlockDevice {
     return inner_->Decommit(offset, length);
   }
 
+  // Holds writes to `addr` (in addition to any gated before) until Open.
   void Gate(uint64_t addr) {
     std::lock_guard<std::mutex> guard(mu_);
     gated_ = true;
-    gate_addr_ = addr;
+    gate_addrs_.insert(addr);
   }
-  // Blocks until a write to the gated address is being held.
+  // Blocks until a write to a gated address is being held.
   void WaitHeld() {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [&] { return held_; });
@@ -73,6 +81,7 @@ class GatedDevice : public BlockDevice {
   void Open() {
     std::lock_guard<std::mutex> guard(mu_);
     gated_ = false;
+    gate_addrs_.clear();
     cv_.notify_all();
   }
   void set_delay(std::chrono::milliseconds delay) {
@@ -84,12 +93,17 @@ class GatedDevice : public BlockDevice {
     std::unique_lock<std::mutex> lk(mu_);
     return cv_.wait_for(lk, timeout, pred);
   }
-  // Done and max_inflight read state under the device mutex: call them only
-  // from a WaitFor predicate.
+  // Done, max_inflight and inflight read state under the device mutex:
+  // call them only from a WaitFor predicate.
   bool Done(uint64_t offset) const {
     return std::find(done_.begin(), done_.end(), offset) != done_.end();
   }
   int max_inflight() const { return max_inflight_; }
+  int inflight() const { return inflight_; }
+  bool WasRead(uint64_t offset) {
+    std::lock_guard<std::mutex> guard(mu_);
+    return std::find(reads_.begin(), reads_.end(), offset) != reads_.end();
+  }
   std::vector<std::thread::id> writer_threads() {
     std::lock_guard<std::mutex> guard(mu_);
     std::vector<std::thread::id> out;
@@ -109,12 +123,13 @@ class GatedDevice : public BlockDevice {
   std::condition_variable cv_;
   bool gated_ = false;
   bool held_ = false;
-  uint64_t gate_addr_ = 0;
+  std::set<uint64_t> gate_addrs_;
   std::chrono::milliseconds delay_{0};
   int inflight_ = 0;
   int max_inflight_ = 0;
   std::vector<WriteRecord> writes_;
   std::vector<uint64_t> done_;
+  std::vector<uint64_t> reads_;
 };
 
 class CacheTest : public ::testing::Test {
@@ -467,6 +482,82 @@ TEST_F(CacheTest, SlowMultiRunFlushCallerWritesLowestRunPoolWritesRest) {
     ASSERT_TRUE(device_.Read(addrs[i], 4096, &back).ok());
     EXPECT_EQ(back[0], i + 1);
   }
+}
+
+// Read-ahead shares the IO pool with flush helpers. With every pool worker
+// a helper held at a gated write, a prefetch waits in the queue; a revoke
+// of its lock (FlushLock, then InvalidateLock, which waits for the lock's
+// prefetches) must still finish once the writes go through: no pool task
+// waits for another task queued behind it.
+TEST_F(CacheTest, RevokeFinishesWhileReadaheadIsQueuedBehindFlushHelpers) {
+  GatedDevice gated(&device_);
+  auto cache = CacheOn(&gated);  // io_threads 2: a pool of 4, 2 helpers per flush
+  MakeDeviceSlow(cache.get(), &gated);
+  constexpr LockId kFlushA = 7, kFlushC = 8, kRevoked = 9;
+  // Two flushes of three runs each: each caller holds its lowest run at
+  // the gate and recruits two helpers, which hold the other two.
+  for (int i = 0; i < 6; ++i) {
+    uint64_t addr = static_cast<uint64_t>(i) * 3 * 4096;
+    ASSERT_TRUE(cache->PutDirty(addr, Block(static_cast<uint8_t>(i + 1)), i < 3 ? kFlushA : kFlushC,
+                                0).ok());
+    gated.Gate(addr);
+  }
+  constexpr uint64_t kRevokedDirty = 18 * 4096, kPrefetched = 21 * 4096;
+  ASSERT_TRUE(cache->PutDirty(kRevokedDirty, Block(0xDD), kRevoked, 0).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int finished = 0;
+  std::vector<Status> results(3, OkStatus());
+  auto run = [&](int i, std::function<Status()> fn) {
+    return std::thread([&, i, fn] {
+      Status st = fn();
+      std::lock_guard<std::mutex> guard(mu);
+      results[i] = st;
+      ++finished;
+      cv.notify_all();
+    });
+  };
+  std::vector<std::thread> threads;
+  threads.push_back(run(0, [&] { return cache->FlushLock(kFlushA); }));
+  threads.push_back(run(1, [&] { return cache->FlushLock(kFlushC); }));
+  ASSERT_TRUE(gated.WaitFor(std::chrono::seconds(10), [&] { return gated.inflight() == 6; }))
+      << "two callers and four pool helpers should hold gated writes";
+
+  ASSERT_TRUE(cache->Prefetch(kPrefetched, 4096, kRevoked, 0));
+  threads.push_back(run(2, [&] {
+    RETURN_IF_ERROR(cache->FlushLock(kRevoked));
+    cache->InvalidateLock(kRevoked);
+    return OkStatus();
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(gated.WasRead(kPrefetched));  // queued behind the helpers
+  {
+    std::lock_guard<std::mutex> guard(mu);
+    EXPECT_EQ(finished, 0);  // the revoke waits for the queued prefetch
+  }
+  gated.Open();
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(10), [&] { return finished == 3; })) {
+      // Watchdog: a pool task waiting on the queued prefetch would hang the
+      // revoke for good, so the process cannot unwind; report and exit.
+      std::fprintf(stderr, "revoke hung behind read-ahead queued on the IO pool\n");
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (const Status& st : results) {
+    EXPECT_TRUE(st.ok()) << st;
+  }
+  EXPECT_TRUE(gated.WasRead(kPrefetched));
+  // Read after the revoke bumped the lock's epoch: dropped as wasted.
+  EXPECT_FALSE(cache->Cached(kPrefetched));
+  EXPECT_EQ(cache->prefetch_wasted(), 1u);
+  EXPECT_EQ(cache->dirty_bytes(), 0u);
 }
 
 TEST_F(CacheTest, FlushAllWritesEveryShardInOneWave) {

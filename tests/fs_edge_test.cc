@@ -1,7 +1,14 @@
 // Edge cases and error paths of the file-system API.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
+#include "src/fs/device.h"
 #include "src/fs/fsck.h"
+#include "src/fs/lock_provider.h"
 #include "src/server/cluster.h"
 
 namespace frangipani {
@@ -250,6 +257,149 @@ TEST_F(FsEdgeTest, UnmountedAndRemountedStatePersists) {
   Bytes out;
   ASSERT_TRUE((*node)->fs()->Read(*found, 0, 5000, &out).ok());
   EXPECT_EQ(out, Bytes(5000, 0x99));
+}
+
+// Passes calls through to `inner`. Reads at or above `gate_from` (the
+// large-block region, where a file's 64 KB read-ahead units live) are
+// counted while in flight and when finished, and held while the gate is
+// closed.
+class ReadGatedDevice : public BlockDevice {
+ public:
+  ReadGatedDevice(BlockDevice* inner, uint64_t gate_from)
+      : inner_(inner), gate_from_(gate_from) {}
+
+  Status Read(uint64_t offset, uint64_t length, Bytes* out) override {
+    bool counted = offset >= gate_from_;
+    if (counted) {
+      std::unique_lock<std::mutex> lk(mu_);
+      ++inflight_;
+      cv_.notify_all();
+      cv_.wait(lk, [&] { return !gated_; });
+    }
+    Status st = inner_->Read(offset, length, out);
+    if (counted) {
+      std::lock_guard<std::mutex> guard(mu_);
+      --inflight_;
+      ++finished_;
+      cv_.notify_all();
+    }
+    return st;
+  }
+  Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
+    return inner_->Write(offset, data, lease_expiry_us);
+  }
+  Status Decommit(uint64_t offset, uint64_t length) override {
+    return inner_->Decommit(offset, length);
+  }
+
+  void Gate() {
+    std::lock_guard<std::mutex> guard(mu_);
+    gated_ = true;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> guard(mu_);
+    gated_ = false;
+    cv_.notify_all();
+  }
+  // Waits up to `timeout` until at least `n` counted reads are in flight.
+  bool WaitInflight(int n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, timeout, [&] { return inflight_ >= n; });
+  }
+  int inflight() {
+    std::lock_guard<std::mutex> guard(mu_);
+    return inflight_;
+  }
+  int finished() {
+    std::lock_guard<std::mutex> guard(mu_);
+    return finished_;
+  }
+
+ private:
+  BlockDevice* inner_;
+  const uint64_t gate_from_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool gated_ = false;
+  int inflight_ = 0;
+  int finished_ = 0;
+};
+
+// One machine on a local device with local locks, read-ahead deeper than
+// io_threads. A file of one small-block region plus eight 64 KB units is
+// written, the cache dropped and the gate closed; reading the small region
+// then leaves the read-ahead of the next units held at the device.
+class ReadaheadDepthTest : public ::testing::Test {
+ protected:
+  static constexpr int kIoThreads = 2;
+  static constexpr uint32_t kDepth = 2 * kIoThreads;
+
+  ReadaheadDepthTest()
+      : local_(1, PhysDiskParams{.timing_enabled = false}), gated_(&local_, Geometry{}.large_base) {}
+
+  void SetUp() override {
+    ASSERT_TRUE(FrangipaniFs::Mkfs(&gated_, Geometry{}).ok());
+    FsOptions opts;
+    opts.io_threads = kIoThreads;
+    opts.readahead_units = kDepth;
+    opts.fence_writes = false;
+    fs_ = std::make_unique<FrangipaniFs>(&gated_, &locks_, SystemClock::Get(), opts);
+    ASSERT_TRUE(fs_->Mount().ok());
+    auto ino = fs_->Create("/stream");
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(fs_->Write(*ino, 0, Bytes(kSmallBytesPerFile + 8 * kChunkSize, 0x5A)).ok());
+    ASSERT_TRUE(fs_->DropCaches().ok());
+    gated_.Gate();
+    Bytes out;
+    ASSERT_TRUE(fs_->Read(*ino, 0, kSmallBytesPerFile, &out).ok());
+    EXPECT_EQ(out, Bytes(kSmallBytesPerFile, 0x5A));
+  }
+
+  void TearDown() override {
+    gated_.Open();
+    fs_.reset();
+  }
+
+  LocalDevice local_;
+  ReadGatedDevice gated_;
+  LocalLocks locks_;
+  std::unique_ptr<FrangipaniFs> fs_;
+};
+
+// Read-ahead shares the cache's IO pool, which holds 2 x io_threads
+// workers: all readahead_units reads are in flight at once, not io_threads.
+TEST_F(ReadaheadDepthTest, ReadaheadUnitsInFlightBeyondIoThreads) {
+  EXPECT_TRUE(gated_.WaitInflight(kDepth, std::chrono::seconds(5)))
+      << "read-ahead reads in flight: " << gated_.inflight() << ", want " << kDepth;
+  EXPECT_EQ(fs_->Stats().prefetches, kDepth);
+}
+
+TEST_F(ReadaheadDepthTest, UnmountWaitsForReadaheadInFlight) {
+  ASSERT_TRUE(gated_.WaitInflight(kIoThreads, std::chrono::seconds(5)));
+  std::mutex mu;
+  std::condition_variable cv;
+  bool returned = false;
+  int finished_at_return = -1;
+  std::thread unmount([&] {
+    ASSERT_TRUE(fs_->Unmount().ok());
+    int finished = gated_.finished();
+    std::lock_guard<std::mutex> guard(mu);
+    returned = true;
+    finished_at_return = finished;
+    cv.notify_all();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> guard(mu);
+    EXPECT_FALSE(returned);  // the read-ahead is still held at the device
+  }
+  gated_.Open();
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10), [&] { return returned; }));
+  }
+  unmount.join();
+  EXPECT_EQ(finished_at_return, static_cast<int>(kDepth));
 }
 
 }  // namespace

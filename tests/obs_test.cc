@@ -537,6 +537,59 @@ TEST(RecorderTest, SlowOpCaptureMatchesSnapshotThenFilter) {
   rec->Clear();
 }
 
+// With the keep-list full, an op no slower than every kept op is turned
+// away before its events are collected, and the list is unchanged; a slower
+// op still replaces the fastest kept op, events included.
+TEST(RecorderTest, FullKeepListTurnsAwayFasterOpBeforeCollecting) {
+  Recorder* rec = Recorder::Default();
+  rec->Enable(true);
+  rec->Clear();
+  Counter* captures = MetricsRegistry::Default()->GetCounter("obs.slow_op_captures");
+  constexpr uint64_t kBase = 0xFA57000;
+  constexpr uint64_t kFaster = kBase + 1000, kSlower = kBase + 1001;
+  // Kept op i takes (i + 10) us, so the fastest kept op takes 10 us.
+  for (uint64_t i = 0; i < Recorder::kMaxSlowOps; ++i) {
+    rec->PromoteSlowOp(kBase + i, "kept", 1, 0, static_cast<int64_t>(i + 10) * 1000);
+  }
+  for (uint64_t id : {kFaster, kSlower}) {
+    TraceEvent e;
+    e.name = "keeplist.event";
+    e.trace_id = id;
+    e.start_ns = 1;
+    rec->Emit(e);
+  }
+  auto total_by_trace = [&] {
+    std::map<uint64_t, int64_t> out;
+    for (const Recorder::SlowOp& op : rec->SlowOps()) {
+      out[op.trace_id] = op.total_ns;
+    }
+    return out;
+  };
+  std::map<uint64_t, int64_t> before = total_by_trace();
+  ASSERT_EQ(before.size(), Recorder::kMaxSlowOps);
+
+  uint64_t captured = captures->value();
+  rec->PromoteSlowOp(kFaster, "faster", 1, 0, 10 * 1000);  // ties the fastest: not kept
+  EXPECT_EQ(captures->value(), captured);
+  EXPECT_EQ(total_by_trace(), before);
+
+  rec->PromoteSlowOp(kSlower, "slower", 1, 0, 500 * 1000);
+  EXPECT_EQ(captures->value(), captured + 1);
+  std::map<uint64_t, int64_t> after = total_by_trace();
+  std::map<uint64_t, int64_t> expected = before;
+  expected.erase(kBase);  // the fastest kept op
+  expected[kSlower] = 500 * 1000;
+  EXPECT_EQ(after, expected);
+  for (const Recorder::SlowOp& op : rec->SlowOps()) {
+    if (op.trace_id == kSlower) {
+      ASSERT_EQ(op.events.size(), 1u);
+      EXPECT_STREQ(op.events[0].name, "keeplist.event");
+    }
+  }
+  rec->Enable(false);
+  rec->Clear();
+}
+
 // Emitters keep writing while another thread snapshots and dumps: the
 // seqlock skips mid-write slots instead of tearing them. Run under TSan in
 // CI to verify the memory-order protocol.
