@@ -623,15 +623,22 @@ Status FrangipaniFs::FreeInodeAndBlocks(MetaTxn& txn, uint64_t ino, Inode& inode
   return OkStatus();
 }
 
-Status FrangipaniFs::DecommitFileData(const Inode& inode) {
+Status FrangipaniFs::DecommitLargeTail(const Inode& inode, uint64_t keep) {
   // Small blocks share 64 KB Petal chunks with unrelated blocks, so only the
   // large block's committed range is decommitted.
   if (inode.large == 0 || inode.size <= kSmallBytesPerFile) {
     return OkStatus();
   }
-  uint64_t bytes = inode.size - kSmallBytesPerFile;
-  uint64_t len = (bytes + kChunkSize - 1) / kChunkSize * kChunkSize;
-  return device_->Decommit(geometry_.LargeBlockAddr(inode.large), len);
+  uint64_t from = (keep + kChunkSize - 1) / kChunkSize * kChunkSize;
+  uint64_t extent = (inode.size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize * kChunkSize;
+  if (extent <= from) {
+    return OkStatus();
+  }
+  // A decommit cannot be undone, so the log record that freed the range
+  // must be durable first: a crash that lost it would replay to an inode
+  // that still maps the range, and its synced bytes would read as zeros.
+  RETURN_IF_ERROR(wal_->FlushAll());
+  return device_->Decommit(geometry_.LargeBlockAddr(inode.large) + from, extent - from);
 }
 
 // ---------------------------------------------------------------------------

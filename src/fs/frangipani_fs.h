@@ -217,7 +217,17 @@ class FrangipaniFs {
   std::vector<uint32_t> SegmentsOf(uint64_t ino, const Inode& inode) const;
 
   Status FreeInodeAndBlocks(MetaTxn& txn, uint64_t ino, Inode& inode);
-  Status DecommitFileData(const Inode& inode);
+  // Runs after the commit that freed inode `ino`, whose image before the
+  // free is `freed`: drops the file's content entries, writes and drops a
+  // freed directory's entries, and decommits the large block; a freed
+  // file's or symlink's inode image stays dirty in the cache. The caller
+  // still holds the inode, data and segment locks exclusively.
+  Status PurgeFreed(uint64_t ino, const Inode& freed);
+  // Returns to Petal the committed chunks of `inode`'s large block past its
+  // first `keep` bytes, after forcing the log. The caller holds the locks
+  // under which the range was freed, so nobody can reallocate and write it
+  // before the decommit lands.
+  Status DecommitLargeTail(const Inode& inode, uint64_t keep);
 
   // Shared unlink/rmdir implementation.
   Status RemoveCommon(const std::string& path, bool dir_expected);

@@ -369,8 +369,6 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
     for (uint32_t seg : segs) {
       plan.push_back({SegmentLockId(seg), LockMode::kExclusive});
     }
-    Inode before;
-    bool freed_large = false;
     st = WithLocks(plan, [&]() -> Status {
       MetaTxn txn(this);
       Bytes* ino_raw = nullptr;
@@ -378,7 +376,7 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
       if (node.version != expected_version) {
         return Aborted("inode changed since phase one");
       }
-      before = node;
+      Inode before = node;
       if (new_size < node.size) {
         uint32_t keep_smalls =
             static_cast<uint32_t>((std::min<uint64_t>(new_size, kSmallBytesPerFile) +
@@ -393,7 +391,6 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
         if (node.large != 0 && new_size <= kSmallBytesPerFile) {
           FreeInSegment(txn, SegmentOfLarge(node.large), LargeBit(node.large));
           node.large = 0;
-          freed_large = true;
         }
       }
       uint64_t old_size = node.size;
@@ -403,9 +400,8 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
       RETURN_IF_ERROR(txn.Commit());
       if (shrinks) {
         // Freed blocks may be reallocated under other locks; drop our copies
-        // (both the metadata entries and the file-content entries).
-        RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(ino)));
-        cache_->InvalidateLock(InodeLockId(ino));
+        // of the file's content. The inode lock covers only the inode
+        // image, which stays dirty in the cache like any other update.
         RETURN_IF_ERROR(cache_->FlushLock(InodeDataLockId(ino)));
         cache_->InvalidateLock(InodeDataLockId(ino));
         // Zero the stale tail of the kept partial block so that a later
@@ -422,18 +418,11 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
             RETURN_IF_ERROR(cache_->PutDirty(ref.addr, std::move(unit), dlock, 0, unit_off));
           }
         }
-        // A kept large block may still have committed chunks past the new
-        // end; return that physical space (reads then yield zeros).
-        if (node.large != 0 && old_size > kSmallBytesPerFile) {
-          uint64_t keep = new_size > kSmallBytesPerFile ? new_size - kSmallBytesPerFile : 0;
-          uint64_t keep_aligned = (keep + kChunkSize - 1) / kChunkSize * kChunkSize;
-          uint64_t old_extent =
-              (old_size - kSmallBytesPerFile + kChunkSize - 1) / kChunkSize * kChunkSize;
-          if (old_extent > keep_aligned) {
-            (void)device_->Decommit(geometry_.LargeBlockAddr(node.large) + keep_aligned,
-                                    old_extent - keep_aligned);
-          }
-        }
+        // Return the large block's committed chunks past the new end
+        // (all of them if the block was freed); a re-extension then reads
+        // zeros. A failure only leaves the chunks committed.
+        (void)DecommitLargeTail(
+            before, new_size > kSmallBytesPerFile ? new_size - kSmallBytesPerFile : 0);
       }
       return OkStatus();
     });
@@ -442,9 +431,6 @@ Status FrangipaniFs::Truncate(uint64_t ino, uint64_t new_size) {
       continue;
     }
     RETURN_IF_ERROR(st);
-    if (freed_large) {
-      (void)DecommitFileData(before);
-    }
     stats_.operations.fetch_add(1, std::memory_order_relaxed);
     return OkStatus();
   }

@@ -316,6 +316,24 @@ Status FrangipaniFs::Link(const std::string& existing, const std::string& path) 
 // Unlink / Rmdir
 // ---------------------------------------------------------------------------
 
+Status FrangipaniFs::PurgeFreed(uint64_t ino, const Inode& freed) {
+  if (freed.type == FileType::kDirectory) {
+    // A directory's blocks are cached under its inode lock, and another
+    // server may reallocate them under other locks once our segment locks
+    // go: write the freed inode image and drop every entry now.
+    RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(ino)));
+    cache_->InvalidateLock(InodeLockId(ino));
+  }
+  // A file's or symlink's inode lock covers only the inode image, so the
+  // freed image stays dirty under the lock we still hold; the lock's revoke
+  // writes it before anyone else can reuse the inode (§5). The content dies
+  // with the file: drop, don't flush, its data entries.
+  cache_->InvalidateLock(InodeDataLockId(ino));
+  // A failed decommit (or log force) only leaves the chunks committed.
+  (void)DecommitLargeTail(freed, 0);
+  return OkStatus();
+}
+
 Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
   RETURN_IF_ERROR(CheckUsable());
   if (options_.read_only) {
@@ -396,15 +414,7 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
         WriteInodeIn(txn, t.ino, ino_raw, node);
       }
       RETURN_IF_ERROR(txn.Commit());
-      if (freed) {
-        // Freed blocks can be reallocated by other servers under other
-        // locks; purge our copies now (flushing the inode image first).
-        // The file's content dies with it: drop, don't flush, data entries.
-        RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(t.ino)));
-        cache_->InvalidateLock(InodeLockId(t.ino));
-        cache_->InvalidateLock(InodeDataLockId(t.ino));
-      }
-      return OkStatus();
+      return freed ? PurgeFreed(t.ino, freed_inode) : OkStatus();
     });
     if (st.code() == StatusCode::kAborted) {
       NoteRetry();
@@ -412,7 +422,6 @@ Status FrangipaniFs::RemoveCommon(const std::string& path, bool dir_expected) {
     }
     RETURN_IF_ERROR(st);
     if (freed) {
-      (void)DecommitFileData(freed_inode);
       {
         std::lock_guard<std::mutex> guard(ra_mu_);
         ra_last_end_.erase(t.ino);
@@ -562,21 +571,13 @@ Status FrangipaniFs::Rename(const std::string& from, const std::string& to) {
         WriteInodeIn(txn, dst.parent, dstp_raw, dstp);
       }
       RETURN_IF_ERROR(txn.Commit());
-      if (replaced) {
-        RETURN_IF_ERROR(cache_->FlushLock(InodeLockId(dst.ino)));
-        cache_->InvalidateLock(InodeLockId(dst.ino));
-        cache_->InvalidateLock(InodeDataLockId(dst.ino));
-      }
-      return OkStatus();
+      return replaced ? PurgeFreed(dst.ino, replaced_inode) : OkStatus();
     });
     if (st.code() == StatusCode::kAborted) {
       NoteRetry();
       continue;
     }
     RETURN_IF_ERROR(st);
-    if (replaced) {
-      (void)DecommitFileData(replaced_inode);
-    }
     stats_.operations.fetch_add(1, std::memory_order_relaxed);
     return OkStatus();
   }

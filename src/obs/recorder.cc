@@ -1,8 +1,11 @@
 #include "src/obs/recorder.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <array>
 #include <cstdio>
+#include <new>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -22,6 +25,11 @@ const char* InternString(const std::string& s) {
 // One thread's circular event buffer. The owning thread is the only writer;
 // dumps read concurrently through per-slot seqlocks. Rings are owned by the
 // Recorder's registry (shared_ptr) so they outlive their thread.
+//
+// Slots are plain words in anonymous zero-filled pages, read and written
+// through std::atomic_ref: a page is touched, and so costs memory, only
+// once the ring's head reaches it. A never-written slot reads as all zeros
+// (seq 0, name nullptr).
 class EventRing {
  public:
   struct Slot {
@@ -29,20 +37,25 @@ class EventRing {
     // odd value, or different values before/after reading the payload, skips
     // the slot (the event is being overwritten — by ring semantics it is the
     // oldest and about to be dropped anyway).
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<int64_t> start_ns{0};
-    std::atomic<int64_t> dur_ns{0};
-    std::atomic<const char*> name{nullptr};
-    std::atomic<const char*> a0_name{nullptr};
-    std::atomic<uint64_t> a0{0};
-    std::atomic<const char*> a1_name{nullptr};
-    std::atomic<uint64_t> a1{0};
+    uint64_t seq;
+    uint64_t trace_id;
+    int64_t start_ns;
+    int64_t dur_ns;
+    const char* name;
+    const char* a0_name;
+    uint64_t a0;
+    const char* a1_name;
+    uint64_t a1;
     // node (32) | layer (8) | kind (8), packed so one load restores all.
-    std::atomic<uint64_t> meta{0};
+    uint64_t meta;
   };
+  static_assert(std::atomic_ref<uint64_t>::is_always_lock_free &&
+                std::atomic_ref<const char*>::is_always_lock_free);
 
-  explicit EventRing(uint32_t tid) : tid_(tid) {}
+  explicit EventRing(uint32_t tid) : tid_(tid), slots_(MapSlots()) {}
+  ~EventRing() { munmap(slots_, kBytes); }
+  EventRing(const EventRing&) = delete;
+  EventRing& operator=(const EventRing&) = delete;
 
   uint32_t tid() const { return tid_; }
 
@@ -50,8 +63,8 @@ class EventRing {
   bool Push(const TraceEvent& e) {
     uint64_t pos = head_.load(std::memory_order_relaxed);
     Slot& s = slots_[pos % Recorder::kRingSlots];
-    uint64_t seq0 = s.seq.load(std::memory_order_relaxed);
-    s.seq.store(seq0 + 1, std::memory_order_relaxed);
+    uint64_t seq0 = Load(s.seq);
+    Store(s.seq, seq0 + 1);
     // The odd seq must be ordered before every payload store, or a reader
     // could pair fresh payload with a stale-stable seq. A release fence does
     // that (Boehm, "Can seqlocks get along with programming language memory
@@ -60,16 +73,16 @@ class EventRing {
     // its re-check. On x86 it costs no instruction, where seq_cst is an
     // mfence.
     std::atomic_thread_fence(std::memory_order_release);
-    s.trace_id.store(e.trace_id, std::memory_order_relaxed);
-    s.start_ns.store(e.start_ns, std::memory_order_relaxed);
-    s.dur_ns.store(e.dur_ns, std::memory_order_relaxed);
-    s.name.store(e.name, std::memory_order_relaxed);
-    s.a0_name.store(e.a0_name, std::memory_order_relaxed);
-    s.a0.store(e.a0, std::memory_order_relaxed);
-    s.a1_name.store(e.a1_name, std::memory_order_relaxed);
-    s.a1.store(e.a1, std::memory_order_relaxed);
-    s.meta.store(PackMeta(e), std::memory_order_relaxed);
-    s.seq.store(seq0 + 2, std::memory_order_release);
+    Store(s.trace_id, e.trace_id);
+    Store(s.start_ns, e.start_ns);
+    Store(s.dur_ns, e.dur_ns);
+    Store(s.name, e.name);
+    Store(s.a0_name, e.a0_name);
+    Store(s.a0, e.a0);
+    Store(s.a1_name, e.a1_name);
+    Store(s.a1, e.a1);
+    Store(s.meta, PackMeta(e));
+    Store(s.seq, seq0 + 2, std::memory_order_release);
     head_.store(pos + 1, std::memory_order_release);
     return pos >= Recorder::kRingSlots;  // true = an older event was overwritten
   }
@@ -82,26 +95,26 @@ class EventRing {
     uint64_t head = head_.load(std::memory_order_acquire);
     uint64_t first = head > Recorder::kRingSlots ? head - Recorder::kRingSlots : 0;
     for (uint64_t pos = first; pos < head; ++pos) {
-      const Slot& s = slots_[pos % Recorder::kRingSlots];
-      uint64_t s1 = s.seq.load(std::memory_order_acquire);
+      Slot& s = slots_[pos % Recorder::kRingSlots];
+      uint64_t s1 = Load(s.seq, std::memory_order_acquire);
       if (s1 & 1) {
         continue;
       }
       TraceEvent e;
-      e.trace_id = s.trace_id.load(std::memory_order_relaxed);
+      e.trace_id = Load(s.trace_id);
       if (trace_id != 0 && e.trace_id != trace_id) {
         continue;
       }
-      e.start_ns = s.start_ns.load(std::memory_order_relaxed);
-      e.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
-      e.name = s.name.load(std::memory_order_relaxed);
-      e.a0_name = s.a0_name.load(std::memory_order_relaxed);
-      e.a0 = s.a0.load(std::memory_order_relaxed);
-      e.a1_name = s.a1_name.load(std::memory_order_relaxed);
-      e.a1 = s.a1.load(std::memory_order_relaxed);
-      UnpackMeta(s.meta.load(std::memory_order_relaxed), &e);
+      e.start_ns = Load(s.start_ns);
+      e.dur_ns = Load(s.dur_ns);
+      e.name = Load(s.name);
+      e.a0_name = Load(s.a0_name);
+      e.a0 = Load(s.a0);
+      e.a1_name = Load(s.a1_name);
+      e.a1 = Load(s.a1);
+      UnpackMeta(Load(s.meta), &e);
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.seq.load(std::memory_order_relaxed) != s1 || e.name == nullptr) {
+      if (Load(s.seq) != s1 || e.name == nullptr) {
         continue;  // overwritten while reading (or never written)
       }
       e.tid = tid_;
@@ -115,6 +128,17 @@ class EventRing {
 
   uint64_t head() const { return head_.load(std::memory_order_acquire); }
 
+  // Bytes of the slot array backed by memory, whole pages.
+  size_t ResidentBytes() const {
+    size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> in_core((kBytes + page - 1) / page);
+    if (mincore(slots_, kBytes, in_core.data()) != 0) {
+      return kBytes;
+    }
+    return page * static_cast<size_t>(std::count_if(in_core.begin(), in_core.end(),
+                                                    [](unsigned char c) { return c & 1; }));
+  }
+
  private:
   static uint64_t PackMeta(const TraceEvent& e) {
     return (static_cast<uint64_t>(e.node) << 16) |
@@ -127,9 +151,30 @@ class EventRing {
     e->kind = static_cast<EventKind>(static_cast<uint8_t>(m));
   }
 
+  static constexpr size_t kBytes = Recorder::kRingSlots * sizeof(Slot);
+
+  // Anonymous pages read as zeros and are backed by memory only once
+  // written.
+  static Slot* MapSlots() {
+    void* p = mmap(nullptr, kBytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+      throw std::bad_alloc();
+    }
+    return static_cast<Slot*>(p);
+  }
+
+  template <typename T>
+  static T Load(T& word, std::memory_order order = std::memory_order_relaxed) {
+    return std::atomic_ref<T>(word).load(order);
+  }
+  template <typename T>
+  static void Store(T& word, T value, std::memory_order order = std::memory_order_relaxed) {
+    std::atomic_ref<T>(word).store(value, order);
+  }
+
   uint32_t tid_;
   std::atomic<uint64_t> head_{0};
-  std::array<Slot, Recorder::kRingSlots> slots_{};
+  Slot* const slots_;
 };
 
 // Ring handle for the current thread. Shared ownership: the ring stays alive
@@ -298,6 +343,18 @@ void Recorder::Clear() {
 size_t Recorder::ring_count() const {
   std::lock_guard<std::mutex> guard(mu_);
   return rings_.size() + retired_.size();
+}
+
+size_t Recorder::resident_ring_bytes() const {
+  std::lock_guard<std::mutex> guard(mu_);
+  size_t bytes = 0;
+  for (const auto& ring : rings_) {
+    bytes += ring->ResidentBytes();
+  }
+  for (const auto& ring : retired_) {
+    bytes += ring->ResidentBytes();
+  }
+  return bytes;
 }
 
 void RecordInstant(Layer layer, const char* name, uint32_t node, const char* a0_name,

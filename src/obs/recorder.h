@@ -3,8 +3,9 @@
 // Perfetto / chrome://tracing).
 //
 // Design:
-//  - Each emitting thread owns one EventRing (fixed 4096 slots, allocated on
-//    first emit). Emit writes only thread-local slots plus relaxed bumps of
+//  - Each emitting thread owns one EventRing (fixed 4096 slots, mapped on
+//    first emit as zero-filled pages that take memory only as the ring
+//    fills them). Emit writes only thread-local slots plus relaxed bumps of
 //    the obs.events / obs.dropped_events counters, whose per-thread stripes
 //    keep them exact without a cache line shared between emitters, so
 //    recording never takes a lock and never blocks another thread.
@@ -135,6 +136,9 @@ class Recorder {
   // Number of rings ever created (live + retired); exposed for tests
   // asserting the disabled path allocates nothing.
   size_t ring_count() const;
+  // Bytes of ring slot memory that is resident (live + retired rings);
+  // exposed for tests asserting a ring takes memory only as it fills.
+  size_t resident_ring_bytes() const;
 
  private:
   friend class EventRing;

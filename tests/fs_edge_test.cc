@@ -1,6 +1,7 @@
 // Edge cases and error paths of the file-system API.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -257,6 +258,204 @@ TEST_F(FsEdgeTest, UnmountedAndRemountedStatePersists) {
   Bytes out;
   ASSERT_TRUE((*node)->fs()->Read(*found, 0, 5000, &out).ok());
   EXPECT_EQ(out, Bytes(5000, 0x99));
+}
+
+// A peer that takes the inode lock of a file another machine just unlinked
+// revokes that machine's copy, whose flush writes the freed image first.
+TEST_F(FsEdgeTest, PeerTakingFreedInodeLockReadsItFree) {
+  auto peer = cluster_->AddFrangipani();
+  ASSERT_TRUE(peer.ok());
+  FrangipaniFs* other = (*peer)->fs();
+  auto ino = fs_->Create("/gone");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs_->Write(*ino, 0, Bytes(3000, 0x42)).ok());
+  auto seen = other->StatIno(*ino);
+  ASSERT_TRUE(seen.ok());
+  EXPECT_EQ(seen->size, 3000u);
+  ASSERT_TRUE(fs_->Unlink("/gone").ok());
+  EXPECT_EQ(other->StatIno(*ino).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(other->Stat("/gone").status().code(), StatusCode::kNotFound);
+  // Both machines go on allocating; nothing leaks or doubles up.
+  ASSERT_TRUE(other->Create("/peer").ok());
+  ASSERT_TRUE(fs_->Create("/self").ok());
+  ASSERT_TRUE(fs_->SyncAll().ok());
+  ASSERT_TRUE(other->SyncAll().ok());
+  PetalDevice device(cluster_->admin_petal(), cluster_->vdisk());
+  FsckReport report = RunFsck(&device, cluster_->geometry());
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// Passes every call through to `inner`, counting reads and writes.
+class CountingDevice : public BlockDevice {
+ public:
+  explicit CountingDevice(BlockDevice* inner) : inner_(inner) {}
+
+  Status Read(uint64_t offset, uint64_t length, Bytes* out) override {
+    reads_.fetch_add(1);
+    return inner_->Read(offset, length, out);
+  }
+  Status Write(uint64_t offset, const Bytes& data, int64_t lease_expiry_us) override {
+    writes_.fetch_add(1);
+    return inner_->Write(offset, data, lease_expiry_us);
+  }
+  Status Decommit(uint64_t offset, uint64_t length) override {
+    return inner_->Decommit(offset, length);
+  }
+
+  int reads() const { return reads_.load(); }
+  int writes() const { return writes_.load(); }
+  void ResetCounts() {
+    reads_.store(0);
+    writes_.store(0);
+  }
+
+ private:
+  BlockDevice* inner_;
+  std::atomic<int> reads_{0};
+  std::atomic<int> writes_{0};
+};
+
+// One machine with local locks and the default asynchronous log, so that
+// nothing reaches the device (log included) until the cache or the log is
+// flushed. The rule under test: freeing a file or symlink leaves its freed
+// inode image dirty in the cache, under the inode lock still held, and drops
+// its content; freeing a directory writes and drops everything under its
+// inode lock at once.
+class FreedInodeTest : public ::testing::Test {
+ protected:
+  FreedInodeTest() : local_(1, PhysDiskParams{.timing_enabled = false}), counting_(&local_) {}
+
+  void SetUp() override {
+    ASSERT_TRUE(FrangipaniFs::Mkfs(&counting_, Geometry{}).ok());
+    FsOptions opts;
+    opts.fence_writes = false;
+    fs_ = std::make_unique<FrangipaniFs>(&counting_, &locks_, SystemClock::Get(), opts);
+    ASSERT_TRUE(fs_->Mount().ok());
+  }
+
+  void TearDown() override {
+    ASSERT_TRUE(fs_->Unmount().ok());
+    FsckReport report = RunFsck(&local_, fs_->geometry());
+    EXPECT_TRUE(report.ok) << report.Summary();
+  }
+
+  // A file with one small block of data, all of it written to the device.
+  uint64_t MakeFile(const std::string& path) {
+    auto ino = fs_->Create(path);
+    EXPECT_TRUE(ino.ok());
+    EXPECT_TRUE(fs_->Write(*ino, 0, Bytes(1000, 0x17)).ok());
+    EXPECT_TRUE(fs_->SyncAll().ok());
+    return *ino;
+  }
+
+  // The inode as the device holds it, bypassing the cache.
+  Inode OnDevice(uint64_t ino) {
+    Bytes raw;
+    EXPECT_TRUE(local_.Read(fs_->geometry().InodeAddr(ino), kInodeSize, &raw).ok());
+    auto node = Inode::Decode(raw);
+    EXPECT_TRUE(node.ok());
+    return node.ok() ? *node : Inode{};
+  }
+
+  bool Cached(uint64_t addr) { return fs_->cache()->Cached(addr); }
+  uint64_t InodeAddr(uint64_t ino) { return fs_->geometry().InodeAddr(ino); }
+  uint64_t FirstBlockAddr(const Inode& node) {
+    return fs_->geometry().SmallBlockAddr(node.small[0]);
+  }
+
+  LocalDevice local_;
+  CountingDevice counting_;
+  LocalLocks locks_;
+  std::unique_ptr<FrangipaniFs> fs_;
+};
+
+TEST_F(FreedInodeTest, UnlinkWritesNothing) {
+  uint64_t ino = MakeFile("/f");
+  Inode before = OnDevice(ino);
+  ASSERT_EQ(before.type, FileType::kRegular);
+  counting_.ResetCounts();
+  ASSERT_TRUE(fs_->Unlink("/f").ok());
+  EXPECT_EQ(counting_.writes(), 0) << "the unlink forced the log or the inode to the device";
+  EXPECT_EQ(counting_.reads(), 0);
+  EXPECT_TRUE(Cached(InodeAddr(ino)));
+  EXPECT_FALSE(Cached(FirstBlockAddr(before)));
+  EXPECT_EQ(OnDevice(ino).type, FileType::kRegular);
+  // The update demon's work writes the freed image.
+  ASSERT_TRUE(fs_->SyncAll().ok());
+  EXPECT_TRUE(OnDevice(ino).IsFree());
+}
+
+TEST_F(FreedInodeTest, UnlinkSymlinkWritesNothing) {
+  ASSERT_TRUE(fs_->Symlink("/elsewhere", "/s").ok());
+  ASSERT_TRUE(fs_->SyncAll().ok());
+  auto attr = fs_->Stat("/s");
+  ASSERT_TRUE(attr.ok());
+  counting_.ResetCounts();
+  ASSERT_TRUE(fs_->Unlink("/s").ok());
+  EXPECT_EQ(counting_.writes(), 0);
+  EXPECT_TRUE(Cached(InodeAddr(attr->ino)));
+  EXPECT_EQ(OnDevice(attr->ino).type, FileType::kSymlink);
+}
+
+TEST_F(FreedInodeTest, CreateReusesFreedInodeWithoutDeviceRead) {
+  uint64_t ino = MakeFile("/f");
+  ASSERT_TRUE(fs_->Unlink("/f").ok());
+  counting_.ResetCounts();
+  auto again = fs_->Create("/g");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, ino);
+  EXPECT_EQ(counting_.reads(), 0) << "the freed inode was read back from the device";
+  EXPECT_EQ(counting_.writes(), 0);
+}
+
+TEST_F(FreedInodeTest, RmdirWritesAndDropsTheDirectory) {
+  ASSERT_TRUE(fs_->Mkdir("/d").ok());
+  ASSERT_TRUE(fs_->Create("/d/x").ok());
+  ASSERT_TRUE(fs_->Unlink("/d/x").ok());
+  ASSERT_TRUE(fs_->SyncAll().ok());
+  auto dir = fs_->Lookup("/d");
+  ASSERT_TRUE(dir.ok());
+  Inode before = OnDevice(*dir);
+  ASSERT_EQ(before.type, FileType::kDirectory);
+  ASSERT_NE(before.small[0], 0u);
+  ASSERT_TRUE(Cached(FirstBlockAddr(before)));
+  ASSERT_TRUE(fs_->Rmdir("/d").ok());
+  EXPECT_TRUE(OnDevice(*dir).IsFree());
+  EXPECT_FALSE(Cached(InodeAddr(*dir)));
+  EXPECT_FALSE(Cached(FirstBlockAddr(before)));
+}
+
+TEST_F(FreedInodeTest, RenameOverFileFollowsTheFileRule) {
+  uint64_t a = MakeFile("/a");
+  uint64_t b = MakeFile("/b");
+  Inode old_b = OnDevice(b);
+  counting_.ResetCounts();
+  ASSERT_TRUE(fs_->Rename("/a", "/b").ok());
+  EXPECT_EQ(counting_.writes(), 0);
+  EXPECT_TRUE(Cached(InodeAddr(b)));
+  EXPECT_FALSE(Cached(FirstBlockAddr(old_b)));
+  EXPECT_EQ(OnDevice(b).type, FileType::kRegular);
+  auto now_b = fs_->Lookup("/b");
+  ASSERT_TRUE(now_b.ok());
+  EXPECT_EQ(*now_b, a);
+  ASSERT_TRUE(fs_->SyncAll().ok());
+  EXPECT_TRUE(OnDevice(b).IsFree());
+}
+
+// A shrink frees blocks but no inode: the inode image stays in the cache.
+TEST_F(FreedInodeTest, TruncateShrinkLeavesTheInodeCached) {
+  auto ino = fs_->Create("/t");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs_->Write(*ino, 0, Bytes(3 * kBlockSize, 0x33)).ok());
+  ASSERT_TRUE(fs_->SyncAll().ok());
+  counting_.ResetCounts();
+  ASSERT_TRUE(fs_->Truncate(*ino, 100).ok());
+  EXPECT_EQ(counting_.writes(), 0);
+  EXPECT_TRUE(Cached(InodeAddr(*ino)));
+  EXPECT_EQ(OnDevice(*ino).size, 3 * kBlockSize);
+  Bytes out;
+  ASSERT_TRUE(fs_->Read(*ino, 0, 3 * kBlockSize, &out).ok());
+  EXPECT_EQ(out, Bytes(100, 0x33));
 }
 
 // Passes calls through to `inner`. Reads at or above `gate_from` (the

@@ -414,6 +414,28 @@ TEST(RecorderTest, RingWraparoundOverwritesOldestAndCountsDrops) {
   rec->Clear();
 }
 
+// A ring's slots take memory only as the ring fills them: a thread that
+// emits 100 events (8 KB of slots) must not pin a whole 4096-slot ring.
+TEST(RecorderTest, RingTakesMemoryOnlyAsItFills) {
+  Recorder* rec = Recorder::Default();
+  rec->Enable(true);
+  rec->Clear();
+  constexpr size_t kRingBytes = Recorder::kRingSlots * 80;
+  std::thread emitter([] {
+    for (uint64_t i = 0; i < 100; ++i) {
+      RecordInstant(Layer::kFs, "lazy.ring", 1, "i", i);
+    }
+  });
+  emitter.join();
+  ASSERT_EQ(rec->ring_count(), 1u);
+  size_t resident = rec->resident_ring_bytes();
+  EXPECT_GE(resident, 100u * 80);
+  EXPECT_LT(resident, kRingBytes / 4) << "one ring is " << kRingBytes << " bytes";
+  EXPECT_EQ(rec->Snapshot().size(), 100u);
+  rec->Enable(false);
+  rec->Clear();
+}
+
 // A promoted slow op keeps a copy of its span tree, so later ring
 // wraparound cannot erase it; the kept events also reach DumpJson.
 TEST(RecorderTest, SlowOpPromotionSurvivesWraparound) {

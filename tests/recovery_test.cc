@@ -3,6 +3,8 @@
 // server failures, and backup/restore (§8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <thread>
 
 #include "src/fs/backup.h"
@@ -82,6 +84,126 @@ TEST_F(RecoveryTest, UnloggedOpsAreLostButFsStaysConsistent) {
   ASSERT_TRUE(cluster_->fs(0)->SyncAll().ok());
   FsckReport report = Fsck();
   EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// An unlinked file's freed inode image stays only in the unlinking server's
+// cache; the log record that freed it is what a peer replays after a crash.
+TEST_F(RecoveryTest, UnlinkedInodeIsFreedOnDiskByPeerReplay) {
+  StartCluster(LockServiceKind::kDistributed);
+  NodeOptions no_demons;
+  no_demons.start_demons = false;  // nothing writes the cache for us
+  auto node = cluster_->AddFrangipani(no_demons);
+  ASSERT_TRUE(node.ok());
+  FrangipaniFs* fs = (*node)->fs();
+  auto ino = fs->Create("/victim");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs->Write(*ino, 0, Pattern(3000)).ok());
+  ASSERT_TRUE(fs->SyncAll().ok());
+  ASSERT_TRUE(fs->Unlink("/victim").ok());
+  ASSERT_TRUE(fs->FlushLog().ok());
+  PetalDevice device(cluster_->admin_petal(), cluster_->vdisk());
+  auto on_disk = [&]() {
+    Bytes raw;
+    EXPECT_TRUE(device.Read(cluster_->geometry().InodeAddr(*ino), kInodeSize, &raw).ok());
+    auto decoded = Inode::Decode(raw);
+    EXPECT_TRUE(decoded.ok());
+    return decoded.ok() ? decoded->type : FileType::kFree;
+  };
+  EXPECT_EQ(on_disk(), FileType::kRegular);  // only the log holds the free
+  ASSERT_TRUE(cluster_->CrashFrangipani(2).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  cluster_->CheckLeases();
+  EXPECT_EQ(cluster_->fs(0)->Stat("/victim").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(on_disk(), FileType::kFree);
+  ASSERT_TRUE(cluster_->fs(0)->SyncAll().ok());
+  FsckReport report = Fsck();
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
+// Freeing a large file's storage returns its chunks to Petal, which cannot
+// be undone. A server that frees them and crashes before its log demon runs
+// must leave each file either as the op left it or as it was, never at its
+// old size with the synced bytes past the first 64 KB read back as zeros.
+class FreedLargeDataCrashTest : public RecoveryTest {
+ protected:
+  static constexpr uint64_t kBig = kSmallBytesPerFile + 4 * kChunkSize;
+
+  // Syncs a kBig-byte "/f0" and an empty "/empty" on a server without
+  // demons, runs `op` there, crashes that server with nothing flushed
+  // since, and lets a peer replay its log.
+  void CrashRightAfter(const std::function<void(FrangipaniFs*)>& op) {
+    StartCluster(LockServiceKind::kDistributed);
+    NodeOptions no_demons;
+    no_demons.start_demons = false;
+    auto node = cluster_->AddFrangipani(no_demons);
+    ASSERT_TRUE(node.ok());
+    FrangipaniFs* fs = (*node)->fs();
+    auto ino = fs->Create("/f0");
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(fs->Write(*ino, 0, Pattern(kBig)).ok());
+    ASSERT_TRUE(fs->Create("/empty").ok());
+    ASSERT_TRUE(fs->SyncAll().ok());
+    op(fs);
+    ASSERT_TRUE(cluster_->CrashFrangipani(2).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    cluster_->CheckLeases();
+  }
+
+  // `path` is gone, or every byte it still has is the synced original's.
+  void ExpectGoneOrPrefixOfOriginal(const std::string& path) {
+    FrangipaniFs* peer = cluster_->fs(0);
+    auto attr = peer->Stat(path);
+    if (attr.status().code() == StatusCode::kNotFound) {
+      return;
+    }
+    ASSERT_TRUE(attr.ok()) << attr.status();
+    ASSERT_LE(attr->size, kBig);
+    Bytes got;
+    auto n = peer->Read(attr->ino, 0, attr->size, &got);
+    ASSERT_TRUE(n.ok()) << n.status();
+    ASSERT_EQ(*n, attr->size);
+    Bytes want = Pattern(attr->size);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin())) << path << " size "
+                                                                  << attr->size;
+  }
+
+  void ExpectFsckClean() {
+    ASSERT_TRUE(cluster_->fs(0)->SyncAll().ok());
+    FsckReport report = Fsck();
+    EXPECT_TRUE(report.ok) << report.Summary();
+  }
+};
+
+TEST_F(FreedLargeDataCrashTest, Unlink) {
+  CrashRightAfter([](FrangipaniFs* fs) { ASSERT_TRUE(fs->Unlink("/f0").ok()); });
+  ExpectGoneOrPrefixOfOriginal("/f0");
+  ExpectFsckClean();
+}
+
+TEST_F(FreedLargeDataCrashTest, RenameOverFile) {
+  CrashRightAfter([](FrangipaniFs* fs) { ASSERT_TRUE(fs->Rename("/empty", "/f0").ok()); });
+  ExpectGoneOrPrefixOfOriginal("/f0");
+  ExpectFsckClean();
+}
+
+TEST_F(FreedLargeDataCrashTest, TruncateWithinLargeBlock) {
+  CrashRightAfter([](FrangipaniFs* fs) {
+    auto ino = fs->Lookup("/f0");
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(fs->Truncate(*ino, kSmallBytesPerFile + 100).ok());
+  });
+  ExpectGoneOrPrefixOfOriginal("/f0");
+  ExpectFsckClean();
+}
+
+TEST_F(FreedLargeDataCrashTest, TruncateFreeingLargeBlock) {
+  CrashRightAfter([](FrangipaniFs* fs) {
+    auto ino = fs->Lookup("/f0");
+    ASSERT_TRUE(ino.ok());
+    ASSERT_TRUE(fs->Truncate(*ino, 1000).ok());
+  });
+  ExpectGoneOrPrefixOfOriginal("/f0");
+  ExpectFsckClean();
 }
 
 TEST_F(RecoveryTest, RestartedServerMountsFreshAndWorks) {
